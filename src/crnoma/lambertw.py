@@ -7,6 +7,13 @@ with Halley iterations (Corless et al., "On the Lambert W Function", 1996)
 until the residual ``|w*exp(w) - x|`` drops below 1e-14 * max(1, |x|).
 Convergence is quadratic-plus; a handful of iterations suffices anywhere on
 the principal branch.
+
+From about 5e57 that residual test sits below the rounding floor of
+``w*exp(w)``, and from about 2.55e305 the product overflows, so arguments
+above 1e50 start from the asymptotic expansion ``L1 - L2 + L2/L1`` with
+L1 = ln x, L2 = ln ln x (Corless et al. 1996, eq. 4.19) and take Newton
+steps on the log-form residual ``w + ln w - ln x``.  Either loop raises
+ValueError if it reaches its iteration cap without converging.
 """
 
 from __future__ import annotations
@@ -29,12 +36,16 @@ _MAX_ITER = 50
 # point; beyond this threshold log1p gives the better start.
 _SERIES_CUTOFF = -0.25
 
+# Above this argument the log-form iteration takes over.  The direct
+# residual converges everywhere below it; its first failure is near 5e57.
+_ASYMPTOTIC_CUTOFF = 1e50
+
 
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function at ``x``.
 
-    Raises ValueError for non-finite input or x below -1/e by more than a
-    1e-12 clamp slack.
+    Raises ValueError for non-finite input, for x below -1/e by more than a
+    1e-12 clamp slack, and when the iteration does not converge.
     """
     if not math.isfinite(x):
         raise ValueError(f"lambert_w0 requires finite input, got {x!r}")
@@ -48,6 +59,8 @@ def lambert_w0(x: float) -> float:
         return -1.0
     if x == 0.0:
         return 0.0
+    if x > _ASYMPTOTIC_CUTOFF:
+        return _lambert_w0_large(x)
 
     if x < _SERIES_CUTOFF:
         # Branch-point series W = -1 + p - p^2/3 + (11/72) p^3 + O(p^4).
@@ -67,4 +80,19 @@ def lambert_w0(x: float) -> float:
         w -= residual / (ew * wp1 - (w + 2.0) * residual / (2.0 * wp1))
         if w < -1.0:
             w = -1.0 + 1e-16
+    else:
+        raise ValueError(f"lambert_w0({x!r}) did not converge in {_MAX_ITER} iterations")
     return w
+
+
+def _lambert_w0_large(x: float) -> float:
+    log_x = math.log(x)
+    l2 = math.log(log_x)
+    w = log_x - l2 + l2 / log_x
+    tol = _RESIDUAL_TOL * log_x
+    for _ in range(_MAX_ITER):
+        residual = w + math.log(w) - log_x
+        if abs(residual) <= tol:
+            return w
+        w -= residual * w / (w + 1.0)
+    raise ValueError(f"lambert_w0({x!r}) did not converge in {_MAX_ITER} iterations")

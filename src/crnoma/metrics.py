@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .units import noise_power_w
 
@@ -238,16 +238,50 @@ def duty_factor(sensing: SensingProfile) -> float:
     return sensing.t_transmit_s / total
 
 
-def _sum_rate_bps(
-    prefactor: float,
-    bandwidth_hz: float,
-    numerators_w: Sequence[float],
-    denominators_w: Sequence[float],
+def _detection_term(sensing: SensingProfile, state: str) -> float:
+    """Weight of a correct sensing decision: 1 - p_false_alarm or 1 - p_detection."""
+    return 1.0 - (sensing.p_false_alarm if state == EFFECTUAL else sensing.p_detection)
+
+
+def _pair_rates(
+    env: RadioEnvironment,
+    pairs: Sequence[DevicePair],
+    device: str,
+    primary: Optional[PrimaryLink] = None,
+) -> List[float]:
+    """Per-pair spectral efficiency log2(1 + S / D) of one device class.
+
+    D is the noise power, plus the primary's received power when ``primary``
+    is given (interference state), plus the paired HRC's received power for
+    an MRC device.  This is the only place the link-budget denominator is
+    written out.
+    """
+    base = env.noise_w()
+    if primary is not None:
+        base += primary.received_w()
+    if device == HRC:
+        return [math.log2(1.0 + p.hrc_power_w * p.hrc_gain / base) for p in pairs]
+    return [
+        math.log2(1.0 + p.mrc_power_w * p.mrc_gain / (base + p.hrc_power_w * p.hrc_gain))
+        for p in pairs
+    ]
+
+
+def _throughput_bps(
+    sensing: SensingProfile,
+    env: RadioEnvironment,
+    pairs: Sequence[DevicePair],
+    device: str,
+    primary: Optional[PrimaryLink] = None,
 ) -> float:
+    state = EFFECTUAL if primary is None else INTERFERENCE
+    p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
+    pref = duty_factor(sensing) * p_state * _detection_term(sensing, state)
+    # A plain running sum: sum() rounds differently from Python 3.12 on.
     total = 0.0
-    for num, den in zip(numerators_w, denominators_w):
-        total += math.log2(1.0 + num / den)
-    return prefactor * bandwidth_hz * total
+    for rate in _pair_rates(env, pairs, device, primary):
+        total += rate
+    return pref * env.bandwidth_hz * total
 
 
 def throughput_hrc_effectual(
@@ -260,14 +294,7 @@ def throughput_hrc_effectual(
     duty * p_inactive * (1 - p_false_alarm) * b * sum_n log2(1 + P_H g_h^2 / n_p b);
     the probability prefactor is the perfect-detection weight.
     """
-    npb = env.noise_w()
-    pref = duty_factor(sensing) * sensing.p_inactive * (1.0 - sensing.p_false_alarm)
-    return _sum_rate_bps(
-        pref,
-        env.bandwidth_hz,
-        [p.hrc_power_w * p.hrc_gain for p in pairs],
-        [npb] * len(pairs),
-    )
+    return _throughput_bps(sensing, env, pairs, HRC)
 
 
 def throughput_mrc_effectual(
@@ -280,14 +307,7 @@ def throughput_mrc_effectual(
     Each MRC signal sees its paired HRC's received power as in-cell NOMA
     interference on top of the noise floor.
     """
-    npb = env.noise_w()
-    pref = duty_factor(sensing) * sensing.p_inactive * (1.0 - sensing.p_false_alarm)
-    return _sum_rate_bps(
-        pref,
-        env.bandwidth_hz,
-        [p.mrc_power_w * p.mrc_gain for p in pairs],
-        [npb + p.hrc_power_w * p.hrc_gain for p in pairs],
-    )
+    return _throughput_bps(sensing, env, pairs, MRC)
 
 
 def throughput_hrc_interference(
@@ -302,14 +322,7 @@ def throughput_hrc_interference(
     imperfect-detection weight; the primary's received power joins the
     noise in every denominator.
     """
-    base = env.noise_w() + primary.received_w()
-    pref = duty_factor(sensing) * sensing.p_active * (1.0 - sensing.p_detection)
-    return _sum_rate_bps(
-        pref,
-        env.bandwidth_hz,
-        [p.hrc_power_w * p.hrc_gain for p in pairs],
-        [base] * len(pairs),
-    )
+    return _throughput_bps(sensing, env, pairs, HRC, primary)
 
 
 def throughput_mrc_interference(
@@ -322,14 +335,7 @@ def throughput_mrc_interference(
 
     MRC suffers both the paired HRC signal and the primary interference.
     """
-    base = env.noise_w() + primary.received_w()
-    pref = duty_factor(sensing) * sensing.p_active * (1.0 - sensing.p_detection)
-    return _sum_rate_bps(
-        pref,
-        env.bandwidth_hz,
-        [p.mrc_power_w * p.mrc_gain for p in pairs],
-        [base + p.hrc_power_w * p.hrc_gain for p in pairs],
-    )
+    return _throughput_bps(sensing, env, pairs, MRC, primary)
 
 
 def energy_efficiency(

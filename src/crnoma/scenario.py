@@ -23,7 +23,6 @@ from .metrics import (
     EFFECTUAL,
     HRC,
     INTERFERENCE,
-    MRC,
     STATES,
     DevicePair,
     MetricPoint,
@@ -32,12 +31,10 @@ from .metrics import (
     RadioEnvironment,
     SensingProfile,
     SicOrderingWarning,
+    _detection_term,
+    _pair_rates,
     duty_factor,
     energy_efficiency,
-    throughput_hrc_effectual,
-    throughput_hrc_interference,
-    throughput_mrc_effectual,
-    throughput_mrc_interference,
 )
 from .optimizer import optimize_scenario
 from .pathloss import DEFAULT_LOS_PROBABILITY, ModelRangeWarning, pathloss_average_db, power_gain
@@ -60,6 +57,10 @@ UNIT_MODES = ("watt", "dbm")
 # Grid values are rounded to this many decimals so step accumulation noise
 # (e.g. 100 * 0.01 slightly exceeding 1.0) cannot break probability bounds.
 _GRID_DECIMALS = 12
+
+# Largest p_x grid a scenario may ask for. Every grid point becomes one
+# MetricPoint per series, so this bounds a series at a few hundred MiB.
+_MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -116,8 +117,10 @@ class SweepSeries:
     sic_violations: int = 0
 
 
-def _section(doc: Mapping, name: str) -> Mapping:
+def _section(doc: Mapping, name: str, optional: bool = False) -> Mapping:
     value = doc.get(name)
+    if value is None and optional:
+        return {}
     if not isinstance(value, Mapping):
         raise ConfigError(name, "missing or not a table")
     return value
@@ -161,11 +164,20 @@ def _power_w(raw: float, unit_mode: str) -> float:
 
 
 def _build_grid(start: float, stop: float, step: float) -> Tuple[float, ...]:
+    for key, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep.{key}", f"must be finite, got {value!r}")
     if step <= 0.0:
         raise ConfigError("sweep.step", f"must be > 0, got {step!r}")
     if stop < start:
         raise ConfigError("sweep.stop", "must be >= sweep.start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    intervals = (stop - start) / step + 1e-9
+    # Checked before anything is allocated; "not <" also rejects an overflow to inf.
+    if not intervals < _MAX_GRID_POINTS:
+        raise ConfigError(
+            "sweep.step", f"grid would exceed {_MAX_GRID_POINTS} points (step {step!r})"
+        )
+    count = int(math.floor(intervals)) + 1
     return tuple(round(start + i * step, _GRID_DECIMALS) for i in range(count))
 
 
@@ -248,7 +260,7 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
             "envelope (p_d >= 0.9, p_f <= 0.1)"
         )
 
-    pl_t = doc.get("pathloss", {})
+    pl_t = _section(doc, "pathloss", optional=True)
     if "los_probability" in pl_t:
         los_probability = _number(pl_t, "pathloss", "los_probability")
     else:
@@ -343,7 +355,7 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
             raise
         raise ConfigError("overheads", str(exc)) from None
 
-    sweep_t = doc.get("sweep", {})
+    sweep_t = _section(doc, "sweep", optional=True)
     grid = _build_grid(
         _number(sweep_t, "sweep", "start", 0.0),
         _number(sweep_t, "sweep", "stop", 1.0),
@@ -388,23 +400,6 @@ def load_default_scenario() -> Scenario:
     return load_scenario(default_scenario_text())
 
 
-def _pair_throughput(
-    scenario: Scenario, state: str, device: str, pair: DevicePair, p_x: float
-) -> float:
-    sensing = replace(
-        scenario.sensing,
-        p_inactive=p_x if state == EFFECTUAL else scenario.sensing.p_inactive,
-        p_active=p_x if state == INTERFERENCE else scenario.sensing.p_active,
-    )
-    if state == EFFECTUAL and device == HRC:
-        return throughput_hrc_effectual(sensing, scenario.env, [pair])
-    if state == EFFECTUAL and device == MRC:
-        return throughput_mrc_effectual(sensing, scenario.env, [pair])
-    if device == HRC:
-        return throughput_hrc_interference(sensing, scenario.env, [pair], scenario.primary)
-    return throughput_mrc_interference(sensing, scenario.env, [pair], scenario.primary)
-
-
 def run_sweep(
     scenario: Scenario,
     state: str,
@@ -418,6 +413,10 @@ def run_sweep(
     closed-form optimum; pairs whose optimization is infeasible keep their
     nominal power and are listed in ``infeasible_pairs``.  Headline values
     are per-pair means; the plain sum is carried alongside in each point.
+
+    Throughput is linear in p_x, so each pair's Shannon rate is computed
+    once per series; every grid point then costs O(1) work per pair (one
+    scaling and one addition) plus the point's own record.
     """
     if state not in STATES:
         raise ValueError(f"state must be one of {STATES}, got {state!r}")
@@ -459,28 +458,37 @@ def run_sweep(
     tx_powers = [p.hrc_power_w if device == HRC else p.mrc_power_w for p in pairs]
     mean_tx = sum(tx_powers) / n
 
+    sensing = scenario.sensing
+    primary = scenario.primary if state == INTERFERENCE else None
+    rates = _pair_rates(scenario.env, pairs, device, primary)
+    duty = duty_factor(sensing)
+    miss = _detection_term(sensing, state)
+    bandwidth = scenario.env.bandwidth_hz
+    overheads = scenario.overheads
+
     points = []
-    for p_x in scenario.sweep_grid:
-        try:
-            per_pair = [
-                _pair_throughput(scenario, state, device, pair, p_x) for pair in pairs
-            ]
-        except ValueError as exc:
-            raise ValueError(f"at grid point p_x={p_x}: {exc}") from exc
-        total = sum(per_pair)
-        mean = total / n
-        points.append(
-            MetricPoint(
-                p_x=p_x,
-                state=state,
-                device=device,
-                throughput_bps=mean,
-                ee_bps_per_watt=energy_efficiency(mean, mean_tx, scenario.overheads),
-                tx_power_w=mean_tx,
-                optimized=optimized,
-                throughput_sum_bps=total,
+    try:
+        for p_x in scenario.sweep_grid:
+            # ((duty * p_x) * miss) * b * rate, summed in pair order: the
+            # operation order of the throughput_* functions on one pair, so
+            # every value is bit-identical to evaluating them per point.
+            pb = duty * p_x * miss * bandwidth
+            total = sum([pb * r for r in rates])
+            mean = total / n
+            points.append(
+                MetricPoint(
+                    p_x=p_x,
+                    state=state,
+                    device=device,
+                    throughput_bps=mean,
+                    ee_bps_per_watt=energy_efficiency(mean, mean_tx, overheads),
+                    tx_power_w=mean_tx,
+                    optimized=optimized,
+                    throughput_sum_bps=total,
+                )
             )
-        )
+    except ValueError as exc:
+        raise ValueError(f"at grid point p_x={p_x}: {exc}") from exc
 
     return SweepSeries(
         state=state,

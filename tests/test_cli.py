@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import crnoma.scenario
 from crnoma.cli import main
 
 EXACT_SCENARIO = """
@@ -268,6 +269,43 @@ def test_config_error_exit_code(tmp_path, capsys):
     rc = main(["sweep", scenario, "--state", "effectual", "--device", "hrc"])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def _sweep_exit(tmp_path, extra):
+    scenario = write(tmp_path, "probe.yaml", SYMMETRIC_SCENARIO + extra)
+    return main(["sweep", scenario, "--state", "effectual", "--device", "hrc"])
+
+
+def test_scalar_sweep_section_is_config_error(tmp_path, capsys):
+    assert _sweep_exit(tmp_path, "\nsweep: 5\n") == 2
+    assert "sweep: missing or not a table" in capsys.readouterr().err
+
+
+def test_list_pathloss_section_is_config_error(tmp_path, capsys):
+    assert _sweep_exit(tmp_path, "\npathloss: [0.5]\n") == 2
+    assert "pathloss: missing or not a table" in capsys.readouterr().err
+
+
+def test_infinite_sweep_stop_is_config_error(tmp_path, capsys):
+    assert _sweep_exit(tmp_path, "\nsweep:\n  stop: .inf\n") == 2
+    assert "sweep.stop: must be finite" in capsys.readouterr().err
+
+
+def test_nan_sweep_step_is_config_error(tmp_path, capsys):
+    assert _sweep_exit(tmp_path, "\nsweep:\n  step: .nan\n") == 2
+    assert "sweep.step: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["1.0e-12", "5.0e-324"])
+def test_oversized_grid_rejected_before_it_is_built(tmp_path, capsys, monkeypatch, step):
+    # The grid is built with round(); failing on its first call proves the
+    # size check runs before any of the 1e12 or more points is allocated.
+    def refuse(*args):
+        raise AssertionError("grid construction reached despite the size cap")
+
+    monkeypatch.setattr(crnoma.scenario, "round", refuse, raising=False)
+    assert _sweep_exit(tmp_path, f"\nsweep:\n  step: {step}\n") == 2
+    assert "sweep.step: grid would exceed" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_exit_code(capsys):

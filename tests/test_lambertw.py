@@ -1,12 +1,14 @@
 """Principal-branch Lambert W: defining identity, references, domain edges."""
 
 import math
+import sys
 
 import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
 from crnoma import BRANCH_POINT, lambert_w0
+from crnoma import lambertw
 
 # Omega constant W(1), frozen from an in-repo bisection oracle (see
 # test_reference_value_matches_bisection_oracle) and 50-digit arithmetic.
@@ -80,3 +82,21 @@ def test_identity_property(x):
 def test_agrees_with_scipy(x):
     reference = scipy.special.lambertw(x).real
     assert math.isclose(lambert_w0(x), reference, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("x", [1e60, 1e300, 2.6e305, sys.float_info.max])
+def test_large_arguments_are_finite_and_satisfy_log_identity(x):
+    # w * exp(w) loses the residual to rounding and then overflows here, so
+    # the identity is checked as w + ln w = ln x.
+    w = lambert_w0(x)
+    assert math.isfinite(w)
+    assert abs(w + math.log(w) - math.log(x)) <= 1e-12 * math.log(x)
+    assert math.isclose(w, scipy.special.lambertw(x).real, rel_tol=1e-12)
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(lambertw, "_MAX_ITER", 1)
+    with pytest.raises(ValueError, match="did not converge"):
+        lambert_w0(1e3)
+    with pytest.raises(ValueError, match="did not converge"):
+        lambert_w0(1e60)

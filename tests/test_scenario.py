@@ -12,12 +12,17 @@ from crnoma import (
     INTERFERENCE,
     SicOrderingWarning,
     dbm_to_watt,
+    energy_efficiency,
     load_scenario,
+    optimize_scenario,
     pathloss_average_db,
     power_gain,
     run_sweep,
     solve_gain_for_target,
     throughput_hrc_effectual,
+    throughput_hrc_interference,
+    throughput_mrc_effectual,
+    throughput_mrc_interference,
 )
 from crnoma.scenario import default_scenario_text
 from conftest import make_scenario
@@ -269,6 +274,107 @@ def test_infeasible_pairs_fall_back_to_nominal():
     # dominates but by less than a fully feasible scenario would.
     for orig, opt in zip(original.points, optimized.points):
         assert opt.throughput_bps >= orig.throughput_bps
+
+
+# A dBm scenario with explicit gains, three pairs, a non-default grid and a
+# duty factor (2/3) whose products round, unlike the default 1/2.
+DBM_GAINS = """
+unit_mode: dbm
+env: {bandwidth_hz: 1.0e+6, noise_psd_dbm_hz: -174.0, carrier_ghz: 5.0}
+sensing: {transmit_time_s: 0.1e-3, sense_time_s: 0.05e-3, p_false_alarm: 0.07, p_detection: 0.93}
+devices:
+  hrc_power: 28.0
+  mrc_power: 24.0
+  hrc_gains: [1.0e-13, 3.0e-13, 7.0e-14]
+  mrc_gains: [8.0e-14, 1.0e-13, 2.0e-14]
+primary: {power: 47.0, gain: 1.5e-14}
+overheads: {circuit_power: 49.0, sensing_power: 30.0}
+sweep: {start: 0.0, stop: 1.0, step: 0.003}
+"""
+
+# All eight (state, device, optimized) series plus cascaded MRC per state.
+SERIES = [
+    (state, device, optimized, "nominal")
+    for state in (EFFECTUAL, INTERFERENCE)
+    for device in ("hrc", "mrc")
+    for optimized in (False, True)
+] + [(EFFECTUAL, "mrc", True, "cascaded"), (INTERFERENCE, "mrc", True, "cascaded")]
+
+
+def _reference_pairs(scn, state, device, optimized, coupling):
+    """Device pairs a series evaluates: nominal, or with feasible optima swapped in."""
+    if not optimized:
+        return scn.pairs
+    optima = optimize_scenario(scn, state, coupling)
+    pairs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SicOrderingWarning)
+        for pair, hrc, mrc in zip(scn.pairs, optima.hrc, optima.mrc):
+            if device == "hrc":
+                pairs.append(replace(pair, hrc_power_w=hrc.power_w) if hrc.feasible else pair)
+            elif not mrc.feasible:
+                pairs.append(pair)
+            else:
+                hrc_power = pair.hrc_power_w
+                if coupling == "cascaded" and hrc.feasible:
+                    hrc_power = hrc.power_w
+                pairs.append(replace(pair, mrc_power_w=mrc.power_w, hrc_power_w=hrc_power))
+    return pairs
+
+
+def _reference_points(scn, state, device, pairs):
+    """Per-point values the straightforward way: one public throughput_*
+    call per pair and grid point over a SensingProfile rebuilt with p_x."""
+    n = len(pairs)
+    mean_tx = sum([p.hrc_power_w if device == "hrc" else p.mrc_power_w for p in pairs]) / n
+    for p_x in scn.sweep_grid:
+        if state == EFFECTUAL:
+            sensing = replace(scn.sensing, p_inactive=p_x)
+            rate = throughput_hrc_effectual if device == "hrc" else throughput_mrc_effectual
+            total = sum([rate(sensing, scn.env, [pair]) for pair in pairs])
+        else:
+            sensing = replace(scn.sensing, p_active=p_x)
+            rate = throughput_hrc_interference if device == "hrc" else throughput_mrc_interference
+            total = sum([rate(sensing, scn.env, [pair], scn.primary) for pair in pairs])
+        mean = total / n
+        yield total, mean, energy_efficiency(mean, mean_tx, scn.overheads)
+
+
+@pytest.mark.parametrize("state, device, optimized, coupling", SERIES)
+@pytest.mark.parametrize("scenario_kind", ["default", "dbm_gains"])
+def test_sweep_is_bit_identical_to_per_pair_path(
+    default_scenario, scenario_kind, state, device, optimized, coupling
+):
+    scn = default_scenario if scenario_kind == "default" else load_scenario(DBM_GAINS)
+    series = run_sweep(scn, state, device, optimized, coupling)
+    pairs = _reference_pairs(scn, state, device, optimized, coupling)
+    expected = list(_reference_points(scn, state, device, pairs))
+    assert len(series.points) == len(expected) == len(scn.sweep_grid)
+    for point, (total, mean, ee) in zip(series.points, expected):
+        assert point.throughput_sum_bps == total
+        assert point.throughput_bps == mean
+        assert point.ee_bps_per_watt == ee
+
+
+def test_sweep_counts_sic_violations(default_scenario):
+    # The MRC optimum (about 36 W) dwarfs the nominal 0.7 W HRC power, so
+    # every optimized MRC signal outgrows its HRC partner; raising HRC
+    # power alone never breaks the ordering.
+    n = len(default_scenario.pairs)
+    assert run_sweep(default_scenario, EFFECTUAL, "mrc", True).sic_violations == n
+    assert run_sweep(default_scenario, EFFECTUAL, "mrc", True, "cascaded").sic_violations == n
+    assert run_sweep(default_scenario, EFFECTUAL, "hrc", True).sic_violations == 0
+    assert run_sweep(default_scenario, EFFECTUAL, "mrc", False).sic_violations == 0
+    # Infeasible pairs keep their nominal powers and are not counted.
+    cascaded = run_sweep(default_scenario, INTERFERENCE, "mrc", True, "cascaded")
+    assert cascaded.infeasible_pairs == tuple(range(n))
+    assert cascaded.sic_violations == 0
+
+
+def test_sweep_rejects_grid_value_outside_probability(default_scenario):
+    scn = replace(default_scenario, sweep_grid=(0.0, 0.5, 1.5))
+    with pytest.raises(ValueError, match="p_x=1.5"):
+        run_sweep(scn, EFFECTUAL, "hrc", optimized=False)
 
 
 def test_solve_gain_round_trip(default_scenario):
