@@ -165,13 +165,14 @@ def _cmd_pathloss(args: argparse.Namespace) -> int:
         los = pathloss_los_db(args.d, args.f)
         nlos = pathloss_nlos_db(args.d, args.f)
         average = pathloss_average_db(args.d, args.f, args.omega, args.combine)
+        gain = power_gain(average)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"los_db: {los:.6f}")
     print(f"nlos_db: {nlos:.6f}")
     print(f"average_db: {average:.6f}")
-    print(f"power_gain: {power_gain(average):.12e}")
+    print(f"power_gain: {gain:.12e}")
     return EXIT_OK
 
 

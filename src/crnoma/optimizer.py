@@ -27,10 +27,10 @@ from .metrics import (
     EFFECTUAL,
     HRC,
     INTERFERENCE,
-    MRC,
     PowerOverheads,
     RadioEnvironment,
     SensingProfile,
+    _detection_term,
     duty_factor,
 )
 
@@ -47,6 +47,7 @@ __all__ = [
 _ORACLE_REL_WIDTH = 1e-9
 _ORACLE_P_CAP_W = 1e12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_E = math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,23 @@ class OptResult:
     reason: str = ""
 
 
+def _kappa_b(
+    state: str,
+    sensing: Optional[SensingProfile],
+    env: Optional[RadioEnvironment],
+) -> float:
+    """EE prefactor duty * p_x(state) * (1 - p_false_alarm | 1 - p_detection) * b.
+
+    Without a sensing/environment context the curve is normalized to one.
+    Any state other than effectual takes the interference weights.
+    """
+    if sensing is None or env is None:
+        return 1.0
+    p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
+    kappa = p_state * _detection_term(sensing, state)
+    return duty_factor(sensing) * kappa * env.bandwidth_hz
+
+
 def ee_of_power(
     power_w: float,
     problem: OptProblem,
@@ -107,33 +125,25 @@ def ee_of_power(
     """
     if not math.isfinite(power_w) or power_w < 0.0:
         raise ValueError(f"power_w must be >= 0, got {power_w!r}")
-    kappa_b = 1.0
-    if sensing is not None and env is not None:
-        if problem.state == EFFECTUAL:
-            kappa = sensing.p_inactive * (1.0 - sensing.p_false_alarm)
-        else:
-            kappa = sensing.p_active * (1.0 - sensing.p_detection)
-        kappa_b = duty_factor(sensing) * kappa * env.bandwidth_hz
+    kappa_b = _kappa_b(problem.state, sensing, env)
     rate = math.log2(1.0 + power_w * problem.gain / problem.denom_power_w)
     return kappa_b * rate / (power_w + problem.overheads.total_w)
 
 
-def optimal_power(
-    problem: OptProblem,
-    sensing: Optional[SensingProfile] = None,
-    env: Optional[RadioEnvironment] = None,
-    lambert_fn: Callable[[float], float] = lambert_w0,
+def _closed_form(
+    g2: float,
+    d: float,
+    c: float,
+    kappa_b: float,
+    lambert_fn: Callable[[float], float],
 ) -> OptResult:
-    """Closed-form EE-stationary transmit power for one device.
+    """The Lambert-W stationary power for gain g2, denominator d, overheads c.
 
-    lambert_fn exists as a validation hook so a deliberately corrupted
-    solver can be injected to prove the stationarity checks have teeth.
+    The one place the closed form and its infeasibility branches are
+    written; EE at the optimum follows ``ee_of_power``'s operation order.
     """
-    g2 = problem.gain
-    d = problem.denom_power_w
-    c = problem.overheads.total_w
     numerator = c * g2 - d
-    arg = (numerator / d) * math.exp(-1.0)
+    arg = (numerator / d) * _INV_E
     if numerator <= 0.0:
         return OptResult(
             power_w=math.nan,
@@ -142,7 +152,7 @@ def optimal_power(
             lambert_arg=arg,
             reason="overhead-driven term C*g2 does not exceed the denominator power",
         )
-    if arg < -math.exp(-1.0):
+    if arg < -_INV_E:
         return OptResult(
             power_w=math.nan,
             ee_bps_per_watt=math.nan,
@@ -160,8 +170,28 @@ def optimal_power(
             lambert_arg=arg,
             reason=f"closed form yielded non-positive power {power!r}",
         )
-    ee = ee_of_power(power, problem, sensing, env)
+    ee = kappa_b * math.log2(1.0 + power * g2 / d) / (power + c)
     return OptResult(power_w=power, ee_bps_per_watt=ee, feasible=True, lambert_arg=arg)
+
+
+def optimal_power(
+    problem: OptProblem,
+    sensing: Optional[SensingProfile] = None,
+    env: Optional[RadioEnvironment] = None,
+    lambert_fn: Callable[[float], float] = lambert_w0,
+) -> OptResult:
+    """Closed-form EE-stationary transmit power for one device.
+
+    lambert_fn exists as a validation hook so a deliberately corrupted
+    solver can be injected to prove the stationarity checks have teeth.
+    """
+    return _closed_form(
+        problem.gain,
+        problem.denom_power_w,
+        problem.overheads.total_w,
+        _kappa_b(problem.state, sensing, env),
+        lambert_fn,
+    )
 
 
 def numerical_argmax(
@@ -175,9 +205,18 @@ def numerical_argmax(
     section applies.  The upper bracket starts at problem.p_max_w and
     doubles until EE is decreasing there, capped at 1e12 W.
     """
+    gain = problem.gain
+    denom = problem.denom_power_w
+    overhead = problem.overheads.total_w
+    kappa_b = _kappa_b(problem.state, sensing, env)
+    log2 = math.log2
+    isfinite = math.isfinite
 
     def ee(p: float) -> float:
-        return ee_of_power(p, problem, sensing, env)
+        # ee_of_power with the problem bound once: same check, same order.
+        if not isfinite(p) or p < 0.0:
+            raise ValueError(f"power_w must be >= 0, got {p!r}")
+        return kappa_b * log2(1.0 + p * gain / denom) / (p + overhead)
 
     hi = problem.p_max_w
     while ee(hi) >= ee(hi * 0.5):
@@ -230,31 +269,29 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     base = scenario.env.noise_w()
     if state == INTERFERENCE:
         base += scenario.primary.received_w()
+    # OptProblem's denominator check, made without building one per device.
+    if not 0.0 < base < math.inf:
+        raise ValueError(f"denom_power_w must be > 0, got {base!r}")
+    overhead = scenario.overheads.total_w
+    kappa_b = _kappa_b(state, scenario.sensing, scenario.env)
+    cascaded = coupling == "cascaded"
 
     hrc_results = []
     mrc_results = []
     for pair in scenario.pairs:
-        hrc_problem = OptProblem(
-            gain=pair.hrc_gain,
-            denom_power_w=base,
-            overheads=scenario.overheads,
-            state=state,
-            device=HRC,
-        )
-        hrc_result = optimal_power(hrc_problem, scenario.sensing, scenario.env)
+        hrc_gain = pair.hrc_gain
+        hrc_result = _closed_form(hrc_gain, base, overhead, kappa_b, lambert_w0)
         hrc_results.append(hrc_result)
 
         hrc_power = pair.hrc_power_w
-        if coupling == "cascaded" and hrc_result.feasible:
+        if cascaded and hrc_result.feasible:
             hrc_power = hrc_result.power_w
-        mrc_problem = OptProblem(
-            gain=pair.mrc_gain,
-            denom_power_w=base + hrc_power * pair.hrc_gain,
-            overheads=scenario.overheads,
-            state=state,
-            device=MRC,
+        mrc_denom = base + hrc_power * hrc_gain
+        if not 0.0 < mrc_denom < math.inf:
+            raise ValueError(f"denom_power_w must be > 0, got {mrc_denom!r}")
+        mrc_results.append(
+            _closed_form(pair.mrc_gain, mrc_denom, overhead, kappa_b, lambert_w0)
         )
-        mrc_results.append(optimal_power(mrc_problem, scenario.sensing, scenario.env))
 
     return ScenarioOptima(
         state=state,

@@ -103,4 +103,7 @@ def power_gain(pathloss_db: float) -> float:
     """Linear power channel gain |g|^2 = 10**(-PL/10) for a pathloss in dB."""
     if not math.isfinite(pathloss_db):
         raise ValueError(f"pathloss_db must be finite, got {pathloss_db!r}")
-    return 10.0 ** (-pathloss_db / 10.0)
+    try:
+        return 10.0 ** (-pathloss_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"pathloss {pathloss_db!r} dB overflows as a power gain") from None

@@ -36,7 +36,7 @@ from .metrics import (
     duty_factor,
     energy_efficiency,
 )
-from .optimizer import optimize_scenario
+from .optimizer import _kappa_b, optimize_scenario
 from .pathloss import DEFAULT_LOS_PROBABILITY, ModelRangeWarning, pathloss_average_db, power_gain
 from .units import dbm_to_watt
 
@@ -61,6 +61,10 @@ _GRID_DECIMALS = 12
 # Largest p_x grid a scenario may ask for. Every grid point becomes one
 # MetricPoint per series, so this bounds a series at a few hundred MiB.
 _MAX_GRID_POINTS = 1_000_000
+
+# libyaml's loader when PyYAML was built with it: the same SafeConstructor
+# and Resolver as SafeLoader, so the same document, parsed about 10x faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -159,8 +163,14 @@ def _number_list(table: Mapping, section: str, key: str) -> Optional[Tuple[float
     )
 
 
-def _power_w(raw: float, unit_mode: str) -> float:
-    return raw if unit_mode == "watt" else dbm_to_watt(raw)
+def _power_w(table: Mapping, section: str, key: str, unit_mode: str) -> float:
+    raw = _number(table, section, key)
+    if unit_mode == "watt":
+        return raw
+    try:
+        return dbm_to_watt(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}", str(exc)) from None
 
 
 def _build_grid(start: float, stop: float, step: float) -> Tuple[float, ...]:
@@ -205,10 +215,12 @@ def _resolve_gains(
     resolved = []
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always", ModelRangeWarning)
-        for d in distances:
-            resolved.append(
-                power_gain(pathloss_average_db(d, carrier_ghz, los_probability, combine))
-            )
+        for i, d in enumerate(distances):
+            try:
+                gain = power_gain(pathloss_average_db(d, carrier_ghz, los_probability, combine))
+            except ValueError as exc:
+                raise ConfigError(f"{section}[{i}]", str(exc)) from None
+            resolved.append(gain)
         for w in captured:
             notes.append(f"{section}: {w.message}")
     return tuple(resolved), distances
@@ -217,7 +229,7 @@ def _resolve_gains(
 def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
     """Parse and validate a YAML scenario document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError("<document>", f"YAML parse failure: {exc}") from None
     if not isinstance(doc, Mapping):
@@ -229,11 +241,16 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         raise ConfigError("unit_mode", f"must be one of {UNIT_MODES}, got {unit_mode!r}")
 
     env_t = _section(doc, "env")
-    env = RadioEnvironment(
-        bandwidth_hz=_number(env_t, "env", "bandwidth_hz"),
-        noise_psd_dbm_hz=_number(env_t, "env", "noise_psd_dbm_hz"),
-        carrier_ghz=_number(env_t, "env", "carrier_ghz"),
-    )
+    try:
+        env = RadioEnvironment(
+            bandwidth_hz=_number(env_t, "env", "bandwidth_hz"),
+            noise_psd_dbm_hz=_number(env_t, "env", "noise_psd_dbm_hz"),
+            carrier_ghz=_number(env_t, "env", "carrier_ghz"),
+        )
+    except ValueError as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError("env", str(exc)) from None
     if "speed_of_light_m_s" in env_t:
         # Recorded for config fidelity only; no implemented formula uses it.
         notes.append(
@@ -275,8 +292,8 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         raise ConfigError("pathloss.combine", f"must be 'db' or 'linear', got {combine!r}")
 
     dev_t = _section(doc, "devices")
-    hrc_power = _power_w(_number(dev_t, "devices", "hrc_power"), unit_mode)
-    mrc_power = _power_w(_number(dev_t, "devices", "mrc_power"), unit_mode)
+    hrc_power = _power_w(dev_t, "devices", "hrc_power", unit_mode)
+    mrc_power = _power_w(dev_t, "devices", "mrc_power", unit_mode)
     hrc_gains, hrc_distances = _resolve_gains(
         "devices.hrc",
         _number_list(dev_t, "devices", "hrc_gains"),
@@ -334,7 +351,7 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
     )
     try:
         primary = PrimaryLink(
-            power_w=_power_w(_number(prim_t, "primary", "power"), unit_mode),
+            power_w=_power_w(prim_t, "primary", "power", unit_mode),
             gain=gains[0],
             snr_db=_number(prim_t, "primary", "snr_db", -25.0),
             snr_threshold_db=_number(prim_t, "primary", "snr_threshold_db", -20.0),
@@ -347,8 +364,8 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
     over_t = _section(doc, "overheads")
     try:
         overheads = PowerOverheads(
-            circuit_w=_power_w(_number(over_t, "overheads", "circuit_power"), unit_mode),
-            sensing_w=_power_w(_number(over_t, "overheads", "sensing_power"), unit_mode),
+            circuit_w=_power_w(over_t, "overheads", "circuit_power", unit_mode),
+            sensing_w=_power_w(over_t, "overheads", "sensing_power", unit_mode),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -365,6 +382,13 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         if not 0.0 <= p <= 1.0:
             raise ConfigError("sweep", f"grid value {p!r} is not a probability")
 
+    if not label:
+        label = doc.get("label")
+        if label is None:
+            label = "unnamed"
+        elif not isinstance(label, str):
+            raise ConfigError("label", f"must be a string, got {label!r}")
+
     return Scenario(
         env=env,
         sensing=sensing,
@@ -375,7 +399,7 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         sweep_grid=grid,
         unit_mode=unit_mode,
         pathloss_combine=combine,
-        label=label or doc.get("label", "unnamed"),
+        label=label,
         notes=tuple(notes),
     )
 
@@ -521,13 +545,9 @@ def solve_gain_for_target(
         raise ValueError(f"tx_power_w must be > 0, got {tx_power_w!r}")
     if interference_w < 0.0:
         raise ValueError(f"interference_w must be >= 0, got {interference_w!r}")
-    if state == EFFECTUAL:
-        kappa = sensing.p_inactive * (1.0 - sensing.p_false_alarm)
-    elif state == INTERFERENCE:
-        kappa = sensing.p_active * (1.0 - sensing.p_detection)
-    else:
+    if state not in STATES:
         raise ValueError(f"state must be one of {STATES}, got {state!r}")
-    kappa_b = duty_factor(sensing) * kappa * env.bandwidth_hz
+    kappa_b = _kappa_b(state, sensing, env)
     if kappa_b <= 0.0:
         raise ValueError("probability prefactor times bandwidth is zero; target unreachable")
     denom = env.noise_w() + interference_w

@@ -15,7 +15,10 @@ def dbm_to_watt(power_dbm: float) -> float:
     """Convert decibel-milliwatts to watts: 10**((dBm - 30) / 10)."""
     if not math.isfinite(power_dbm):
         raise ValueError(f"dBm power must be finite, got {power_dbm!r}")
-    return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"dBm power {power_dbm!r} overflows in watts") from None
 
 
 def watt_to_dbm(power_w: float) -> float:

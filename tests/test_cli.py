@@ -4,9 +4,11 @@ import math
 import os
 
 import pytest
+import yaml
 
 import crnoma.scenario
 from crnoma.cli import main
+from crnoma.pathloss import ModelRangeWarning
 
 EXACT_SCENARIO = """
 label: exact
@@ -335,3 +337,54 @@ def test_leftover_temp_files_are_not_kept(tmp_path):
     main(["sweep", "--state", "effectual", "--device", "hrc", "--out", str(out)])
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".crnoma-")]
     assert leftovers == []
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_malformed_yaml_is_config_error_under_each_loader(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", loader)
+    with pytest.raises(crnoma.scenario.ConfigError, match="parse"):
+        crnoma.scenario.load_scenario("env: [unclosed")
+    scenario = write(tmp_path, "broken.yaml", "env: [unclosed")
+    assert main(["sweep", scenario, "--state", "effectual", "--device", "hrc"]) == 2
+    assert "YAML parse failure" in capsys.readouterr().err
+
+
+def _probe_exit(tmp_path, text, command="sweep"):
+    scenario = write(tmp_path, "probe.yaml", text)
+    args = ["--device", "hrc"] if command == "sweep" else []
+    return main([command, scenario, "--state", "effectual"] + args)
+
+
+def test_list_label_is_config_error(tmp_path, capsys):
+    text = SYMMETRIC_SCENARIO.replace("label: symmetric", "label: [a, b]")
+    assert _probe_exit(tmp_path, text) == 2
+    assert "label: must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_nan_bandwidth_is_config_error(tmp_path, capsys, command):
+    text = SYMMETRIC_SCENARIO.replace("bandwidth_hz: 1.0e+6", "bandwidth_hz: .nan")
+    assert _probe_exit(tmp_path, text, command) == 2
+    assert "env: bandwidth_hz must be > 0" in capsys.readouterr().err
+
+
+def test_dbm_power_overflow_is_config_error(tmp_path, capsys):
+    text = "unit_mode: dbm\n" + SYMMETRIC_SCENARIO.replace("hrc_power: 0.7", "hrc_power: 5000.0")
+    assert _probe_exit(tmp_path, text) == 2
+    assert "devices.hrc_power: dBm power 5000.0 overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_tiny_distance_gain_overflow_is_config_error(tmp_path, capsys, command):
+    text = SYMMETRIC_SCENARIO.replace("hrc_gains: [1.0e-13]", "hrc_distances_m: [1.0e-300]")
+    assert _probe_exit(tmp_path, text, command) == 2
+    assert "devices.hrc[0]: pathloss" in capsys.readouterr().err
+
+
+def test_pathloss_gain_overflow_is_usage_error(capsys):
+    with pytest.warns(ModelRangeWarning):
+        assert main(["pathloss", "--d", "1e-300", "--f", "5"]) == 2
+    assert "overflows as a power gain" in capsys.readouterr().err

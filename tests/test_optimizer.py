@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -282,3 +283,97 @@ def test_infeasible_pairs_are_typed_results():
     assert not optima.hrc[0].feasible
     assert not optima.mrc[0].feasible
     assert optima.hrc[0].reason
+
+
+def _bits(result):
+    """Every field of an OptResult as its repr: exact floats, NaN equal to NaN."""
+    return [repr(getattr(result, f.name)) for f in fields(result)]
+
+
+def _reference_optima(scn, state, coupling):
+    """Per-pair optimal_power over one OptProblem per device, as written out."""
+    base = scn.env.noise_w()
+    if state == INTERFERENCE:
+        base += scn.primary.received_w()
+    hrc, mrc = [], []
+    for pair in scn.pairs:
+        hrc_problem = OptProblem(
+            gain=pair.hrc_gain, denom_power_w=base, overheads=scn.overheads, state=state
+        )
+        hrc.append((hrc_problem, optimal_power(hrc_problem, scn.sensing, scn.env)))
+        hrc_power = pair.hrc_power_w
+        if coupling == "cascaded" and hrc[-1][1].feasible:
+            hrc_power = hrc[-1][1].power_w
+        mrc_problem = OptProblem(
+            gain=pair.mrc_gain,
+            denom_power_w=base + hrc_power * pair.hrc_gain,
+            overheads=scn.overheads,
+            state=state,
+        )
+        mrc.append((mrc_problem, optimal_power(mrc_problem, scn.sensing, scn.env)))
+    return hrc, mrc
+
+
+@pytest.mark.parametrize("coupling", ["nominal", "cascaded"])
+@pytest.mark.parametrize("state", [EFFECTUAL, INTERFERENCE])
+@pytest.mark.parametrize("kind", ["default", "mixed_feasibility"])
+def test_optimize_scenario_is_bit_identical_to_per_pair_path(
+    default_scenario, kind, state, coupling
+):
+    if kind == "default":
+        scn = default_scenario
+    else:
+        scn = make_scenario(
+            hrc_gains=(1e-13, 1e-18, 3e-14, 2e-17), mrc_gains=(8e-14, 5e-19, 2e-14, 1e-17)
+        )
+    optima = optimize_scenario(scn, state, coupling)
+    hrc, mrc = _reference_optima(scn, state, coupling)
+    assert len(optima.hrc) == len(hrc) and len(optima.mrc) == len(mrc)
+    feasible = 0
+    for got, (problem, expected) in zip(optima.hrc + optima.mrc, hrc + mrc):
+        assert _bits(got) == _bits(expected)
+        if got.feasible:
+            feasible += 1
+            # EE at p* in ee_of_power's own operation order.
+            assert got.ee_bps_per_watt == ee_of_power(got.power_w, problem, scn.sensing, scn.env)
+    if kind == "mixed_feasibility":
+        assert 0 < feasible < len(hrc + mrc)
+
+
+def _reference_argmax(problem, sensing=None, env=None):
+    """Golden-section search over ee_of_power, written out step by step."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    hi = problem.p_max_w
+    while ee_of_power(hi, problem, sensing, env) >= ee_of_power(hi * 0.5, problem, sensing, env):
+        hi *= 2.0
+        if hi > 1e12:
+            raise ValueError("unbounded")
+    a, b = 0.0, hi
+    c = b - (b - a) * invphi
+    d = a + (b - a) * invphi
+    fc = ee_of_power(c, problem, sensing, env)
+    fd = ee_of_power(d, problem, sensing, env)
+    while (b - a) > 1e-9 * max(abs(a), abs(b)):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * invphi
+            fc = ee_of_power(c, problem, sensing, env)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * invphi
+            fd = ee_of_power(d, problem, sensing, env)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("with_context", [False, True])
+def test_numerical_argmax_is_bit_identical_to_reference_search(default_scenario, with_context):
+    sensing = default_scenario.sensing if with_context else None
+    env = default_scenario.env if with_context else None
+    rng = random.Random(2024)
+    for _ in range(1000):
+        problem = replace(
+            random_problem(rng),
+            p_max_w=rng.choice((1e-3, 1.0, 1e6)),
+            state=rng.choice((EFFECTUAL, INTERFERENCE)),
+        )
+        assert numerical_argmax(problem, sensing, env) == _reference_argmax(problem, sensing, env)

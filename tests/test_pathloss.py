@@ -74,6 +74,8 @@ def test_invalid_inputs():
         pathloss_average_db(100.0, 5.0, 0.5, combine="median")
     with pytest.raises(ValueError):
         power_gain(math.nan)
+    with pytest.raises(ValueError, match="overflows"):
+        power_gain(-5000.0)
 
 
 def test_out_of_range_warns_not_fails():

@@ -1,10 +1,14 @@
 """Scenario loading, validation diagnostics, sweeps, and gain calibration."""
 
 import math
+import random
 import warnings
 from dataclasses import replace
 
 import pytest
+import yaml
+
+import crnoma.scenario
 
 from crnoma import (
     ConfigError,
@@ -418,3 +422,89 @@ def test_content_hash_tracks_content(default_scenario):
     assert default_scenario.content_hash() == default_scenario.content_hash()
     other = replace(default_scenario, los_probability=0.6)
     assert other.content_hash() != default_scenario.content_hash()
+
+
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+
+# DBM_GAINS with unsigned exponents, which YAML 1.1 reads as strings.
+DBM_UNSIGNED = DBM_GAINS.replace("bandwidth_hz: 1.0e+6", "bandwidth_hz: 1.0e6").replace(
+    "circuit_power: 49.0", "circuit_power: 4.9e1"
+)
+
+
+def _wide_document(pairs=300, seed=7):
+    """Many pairs at seeded distances, about 2% below the model's 10 m floor."""
+    rng = random.Random(seed)
+
+    def distances():
+        return ", ".join(
+            f"{rng.uniform(5.0, 9.9) if rng.random() < 0.02 else rng.uniform(10.0, 2000.0):.2f}"
+            for _ in range(pairs)
+        )
+
+    return (
+        "label: wide\n"
+        "env: {bandwidth_hz: 1.0e6, noise_psd_dbm_hz: -174.0, carrier_ghz: 5.0}\n"
+        "sensing: {transmit_time_s: 0.125e-3, sense_time_s: 0.125e-3,"
+        " p_false_alarm: 0.1, p_detection: 0.9}\n"
+        "pathloss: {los_probability: 0.5, combine: linear}\n"
+        "sweep: {start: 0.5, stop: 0.5, step: 0.01}\n"
+        "devices:\n"
+        "  hrc_power: 0.7\n"
+        "  mrc_power: 0.3\n"
+        f"  hrc_distances_m: [{distances()}]\n"
+        f"  mrc_distances_m: [{distances()}]\n"
+        "primary: {power: 50.0, distance_m: 1800.0}\n"
+        "overheads: {circuit_power: 99.0, sensing_power: 1.0}\n"
+    )
+
+
+@needs_libyaml
+@pytest.mark.parametrize("kind", ["default", "dbm_unsigned", "wide_300"])
+def test_libyaml_loader_builds_the_same_scenario(monkeypatch, kind):
+    text = {
+        "default": default_scenario_text(),
+        "dbm_unsigned": DBM_UNSIGNED,
+        "wide_300": _wide_document(),
+    }[kind]
+    assert crnoma.scenario._YAML_LOADER is yaml.CSafeLoader
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+    if kind == "dbm_unsigned":
+        assert fast["env"]["bandwidth_hz"] == "1.0e6"
+        assert fast["overheads"]["circuit_power"] == "4.9e1"
+
+    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", yaml.SafeLoader)
+    expected = load_scenario(text)
+    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", yaml.CSafeLoader)
+    assert load_scenario(text) == expected
+    if kind == "wide_300":
+        assert len(expected.pairs) == 300
+        assert any("outside" in note for note in expected.notes)
+
+
+@pytest.mark.parametrize("value", ["[a, b]", "42", "{name: x}"])
+def test_non_string_label_is_config_error(value):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(MINIMAL.replace("label: minimal", f"label: {value}"))
+    assert err.value.field == "label"
+
+
+def test_null_label_means_unnamed():
+    assert load_scenario(MINIMAL.replace("label: minimal", "label:")).label == "unnamed"
+
+
+def test_dbm_power_overflow_names_field():
+    text = "unit_mode: dbm\n" + MINIMAL.replace("circuit_power: 99.0", "circuit_power: 5000.0")
+    with pytest.raises(ConfigError) as err:
+        load_scenario(text)
+    assert err.value.field == "overheads.circuit_power"
+
+
+def test_gain_overflow_from_tiny_distance_names_field():
+    text = MINIMAL.replace("mrc_gains: [8.0e-14]", "mrc_distances_m: [1.0e-300]")
+    with pytest.raises(ConfigError) as err:
+        load_scenario(text)
+    assert err.value.field == "devices.mrc[0]"

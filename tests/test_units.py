@@ -36,6 +36,11 @@ def test_dbm_to_watt_rejects_non_finite(bad):
         dbm_to_watt(bad)
 
 
+def test_dbm_to_watt_overflow_is_value_error():
+    with pytest.raises(ValueError, match="overflows"):
+        dbm_to_watt(5000.0)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_watt_to_dbm_rejects_non_positive(bad):
     with pytest.raises(ValueError):
