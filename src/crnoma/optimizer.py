@@ -203,7 +203,12 @@ def numerical_argmax(
 
     EE is unimodal in the transmit power (log over affine), so golden
     section applies.  The upper bracket starts at problem.p_max_w and
-    doubles until EE is decreasing there, capped at 1e12 W.
+    doubles until EE is decreasing there, capped at 1e12 W.  Each section
+    step evaluates its one new probe inline (a call per probe costs more
+    than the arithmetic), in ``ee_of_power``'s operation order and with its
+    ``power_w >= 0`` check.  Probes and result are therefore bit-identical
+    to a search over ``ee_of_power``;
+    ``test_numerical_argmax_is_bit_identical_to_reference_search`` pins this.
     """
     gain = problem.gain
     denom = problem.denom_power_w
@@ -227,20 +232,27 @@ def numerical_argmax(
                 f"{_ORACLE_P_CAP_W:.0e} W; problem appears unbounded"
             )
 
-    lo = 0.0
-    a, b = lo, hi
+    a, b = 0.0, hi
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = ee(c), ee(d)
-    while (b - a) > _ORACLE_REL_WIDTH * max(abs(a), abs(b)):
-        if fc > fd:
+    # 0 <= a <= b holds throughout, so b is max(abs(a), abs(b)).
+    while (b - a) > _ORACLE_REL_WIDTH * b:
+        left = fc > fd
+        if left:
             b, d, fd = d, c, fc
-            c = b - (b - a) * _INVPHI
-            fc = ee(c)
+            p = b - (b - a) * _INVPHI
         else:
             a, c, fc = c, d, fd
-            d = a + (b - a) * _INVPHI
-            fd = ee(d)
+            p = a + (b - a) * _INVPHI
+        # Probes stay in [0, hi] with hi <= 1e12, so p is finite.
+        if p < 0.0:
+            raise ValueError(f"power_w must be >= 0, got {p!r}")
+        f = kappa_b * log2(1.0 + p * gain / denom) / (p + overhead)
+        if left:
+            c, fc = p, f
+        else:
+            d, fd = p, f
     return 0.5 * (a + b)
 
 

@@ -251,6 +251,16 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("env", str(exc)) from None
+    # The noise power sits in every SINR denominator.
+    try:
+        noise_w = env.noise_w()
+    except ValueError as exc:
+        raise ConfigError("env.noise_psd_dbm_hz", str(exc)) from None
+    if not 0.0 < noise_w < math.inf:
+        raise ConfigError(
+            "env.noise_psd_dbm_hz",
+            f"noise power must be finite and > 0 W, got {noise_w!r}",
+        )
     if "speed_of_light_m_s" in env_t:
         # Recorded for config fidelity only; no implemented formula uses it.
         notes.append(

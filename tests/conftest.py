@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -8,6 +10,7 @@ from crnoma import (
     RadioEnvironment,
     Scenario,
     SensingProfile,
+    ee_of_power,
     load_default_scenario,
 )
 
@@ -65,3 +68,28 @@ def make_scenario(
         sweep_grid=tuple(grid),
         label="synthetic",
     )
+
+
+def reference_argmax(problem, sensing=None, env=None):
+    """Golden-section search over ee_of_power, written out step by step."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    hi = problem.p_max_w
+    while ee_of_power(hi, problem, sensing, env) >= ee_of_power(hi * 0.5, problem, sensing, env):
+        hi *= 2.0
+        if hi > 1e12:
+            raise ValueError("unbounded")
+    a, b = 0.0, hi
+    c = b - (b - a) * invphi
+    d = a + (b - a) * invphi
+    fc = ee_of_power(c, problem, sensing, env)
+    fd = ee_of_power(d, problem, sensing, env)
+    while (b - a) > 1e-9 * max(abs(a), abs(b)):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * invphi
+            fc = ee_of_power(c, problem, sensing, env)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * invphi
+            fd = ee_of_power(d, problem, sensing, env)
+    return 0.5 * (a + b)

@@ -371,6 +371,20 @@ def test_nan_bandwidth_is_config_error(tmp_path, capsys, command):
     assert "env: bandwidth_hz must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+@pytest.mark.parametrize(
+    "psd, message",
+    [
+        ("-5000.0", "noise power must be finite and > 0 W, got 0.0"),
+        ("5000.0", "dBm power 5000.0 overflows in watts"),
+    ],
+)
+def test_extreme_noise_psd_is_config_error(tmp_path, capsys, command, psd, message):
+    text = SYMMETRIC_SCENARIO.replace("noise_psd_dbm_hz: -174.0", f"noise_psd_dbm_hz: {psd}")
+    assert _probe_exit(tmp_path, text, command) == 2
+    assert f"env.noise_psd_dbm_hz: {message}" in capsys.readouterr().err
+
+
 def test_dbm_power_overflow_is_config_error(tmp_path, capsys):
     text = "unit_mode: dbm\n" + SYMMETRIC_SCENARIO.replace("hrc_power: 0.7", "hrc_power: 5000.0")
     assert _probe_exit(tmp_path, text) == 2

@@ -17,7 +17,7 @@ from crnoma import (
     optimal_power,
     optimize_scenario,
 )
-from conftest import make_scenario
+from conftest import make_scenario, reference_argmax
 
 E2 = math.e**2
 
@@ -91,6 +91,20 @@ def test_oracle_grows_its_bracket():
         p_max_w=1e-3,
     )
     assert numerical_argmax(small_cap) == pytest.approx(EXACT_POWER, rel=1e-6)
+
+
+def test_oracle_bracket_is_capped():
+    # The optimum lies far above 1e12 W, so EE is still rising at the cap.
+    problem = OptProblem(
+        gain=1.0,
+        denom_power_w=1.0,
+        overheads=PowerOverheads(circuit_w=1e15, sensing_w=0.0),
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"^could not bracket a decreasing EE tail below 1e\+12 W; problem appears unbounded$",
+    ):
+        numerical_argmax(problem)
 
 
 def test_degenerate_boundary_is_infeasible():
@@ -340,31 +354,6 @@ def test_optimize_scenario_is_bit_identical_to_per_pair_path(
         assert 0 < feasible < len(hrc + mrc)
 
 
-def _reference_argmax(problem, sensing=None, env=None):
-    """Golden-section search over ee_of_power, written out step by step."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    hi = problem.p_max_w
-    while ee_of_power(hi, problem, sensing, env) >= ee_of_power(hi * 0.5, problem, sensing, env):
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("unbounded")
-    a, b = 0.0, hi
-    c = b - (b - a) * invphi
-    d = a + (b - a) * invphi
-    fc = ee_of_power(c, problem, sensing, env)
-    fd = ee_of_power(d, problem, sensing, env)
-    while (b - a) > 1e-9 * max(abs(a), abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * invphi
-            fc = ee_of_power(c, problem, sensing, env)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * invphi
-            fd = ee_of_power(d, problem, sensing, env)
-    return 0.5 * (a + b)
-
-
 @pytest.mark.parametrize("with_context", [False, True])
 def test_numerical_argmax_is_bit_identical_to_reference_search(default_scenario, with_context):
     sensing = default_scenario.sensing if with_context else None
@@ -376,4 +365,4 @@ def test_numerical_argmax_is_bit_identical_to_reference_search(default_scenario,
             p_max_w=rng.choice((1e-3, 1.0, 1e6)),
             state=rng.choice((EFFECTUAL, INTERFERENCE)),
         )
-        assert numerical_argmax(problem, sensing, env) == _reference_argmax(problem, sensing, env)
+        assert numerical_argmax(problem, sensing, env) == reference_argmax(problem, sensing, env)

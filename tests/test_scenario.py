@@ -101,6 +101,17 @@ def test_minimal_scenario_with_explicit_gains():
     assert any("los_probability defaulted" in note for note in scn.notes)
 
 
+def test_infinite_noise_power_names_field():
+    # Each factor is finite; their product, the noise power, is not.
+    text = MINIMAL.replace("bandwidth_hz: 1.0e+6", "bandwidth_hz: 1.0e+300").replace(
+        "noise_psd_dbm_hz: -174.0", "noise_psd_dbm_hz: 300.0"
+    )
+    with pytest.raises(ConfigError) as err:
+        load_scenario(text)
+    assert err.value.field == "env.noise_psd_dbm_hz"
+    assert "got inf" in str(err.value)
+
+
 def test_parse_failure_is_config_error():
     with pytest.raises(ConfigError) as err:
         load_scenario("env: [unclosed")

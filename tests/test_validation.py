@@ -2,7 +2,9 @@
 
 import pytest
 
+import crnoma.validation
 from crnoma import lambert_w0, run_validation
+from conftest import reference_argmax
 
 
 def test_default_scenario_passes(default_scenario):
@@ -23,6 +25,22 @@ def test_report_is_reproducible(default_scenario):
     second = run_validation(default_scenario, seed=42, trials=100)
     assert first == second
     assert "\n".join(first.lines()) == "\n".join(second.lines())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_report_matches_written_out_reference_search(default_scenario, monkeypatch, seed):
+    fast = run_validation(default_scenario, seed=seed, trials=300)
+    calls = []
+
+    def counted(problem, sensing=None, env=None):
+        calls.append(problem)
+        return reference_argmax(problem, sensing, env)
+
+    monkeypatch.setattr(crnoma.validation, "numerical_argmax", counted)
+    reference = run_validation(default_scenario, seed=seed, trials=300)
+    assert len(calls) == 300
+    assert reference == fast
+    assert reference.lines() == fast.lines()
 
 
 def test_other_seeds_also_pass(default_scenario):
