@@ -22,14 +22,10 @@ from .metrics import (
     RadioEnvironment,
     SensingProfile,
     SicOrderingWarning,
-    classify_state,
     duty_factor,
     energy_efficiency,
     improvement_percent,
-    throughput_hrc_effectual,
-    throughput_hrc_interference,
-    throughput_mrc_effectual,
-    throughput_mrc_interference,
+    throughput,
 )
 from .optimizer import (
     OptProblem,
@@ -56,7 +52,6 @@ from .scenario import (
     load_scenario,
     load_scenario_file,
     run_sweep,
-    solve_gain_for_target,
 )
 from .units import dbm_to_watt, noise_power_w, watt_to_dbm
 from .validation import CheckResult, ValidationReport, run_validation
@@ -88,7 +83,6 @@ __all__ = [
     "SicOrderingWarning",
     "SweepSeries",
     "ValidationReport",
-    "classify_state",
     "dbm_to_watt",
     "duty_factor",
     "ee_of_power",
@@ -108,10 +102,6 @@ __all__ = [
     "power_gain",
     "run_sweep",
     "run_validation",
-    "solve_gain_for_target",
-    "throughput_hrc_effectual",
-    "throughput_hrc_interference",
-    "throughput_mrc_effectual",
-    "throughput_mrc_interference",
+    "throughput",
     "watt_to_dbm",
 ]

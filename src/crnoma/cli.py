@@ -16,7 +16,7 @@ import sys
 import tempfile
 from typing import List, Optional
 
-from .metrics import DEVICES, EFFECTUAL, INTERFERENCE, STATES, improvement_percent
+from .metrics import DEVICES, STATES, improvement_percent
 from .optimizer import optimize_scenario
 from .pathloss import pathloss_average_db, pathloss_los_db, pathloss_nlos_db, power_gain
 from .scenario import (

@@ -1,8 +1,8 @@
 """Link-level metrics for the cognitive NOMA uplink.
 
-Covers the sensing-state classifier, the per-state Shannon throughputs of
-the paired HRC/MRC devices, the energy-efficiency ratio, and the
-improvement percentage used for original-vs-optimized comparisons.
+Covers the per-state Shannon throughput of the paired HRC/MRC devices,
+the energy-efficiency ratio, and the improvement percentage used for
+original-vs-optimized comparisons.
 
 Conventions: all powers in watts, gains are linear power ratios |g|^2,
 throughput in bits/second, energy efficiency in bits/second/watt.
@@ -31,12 +31,8 @@ __all__ = [
     "PrimaryLink",
     "PowerOverheads",
     "MetricPoint",
-    "classify_state",
     "duty_factor",
-    "throughput_hrc_effectual",
-    "throughput_mrc_effectual",
-    "throughput_hrc_interference",
-    "throughput_mrc_interference",
+    "throughput",
     "energy_efficiency",
     "improvement_percent",
 ]
@@ -158,8 +154,6 @@ class PrimaryLink:
 
     power_w: float
     gain: float
-    snr_db: float = -25.0
-    snr_threshold_db: float = -20.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.power_w) or self.power_w < 0.0:
@@ -196,8 +190,7 @@ class PowerOverheads:
 class MetricPoint:
     """One evaluated (throughput, EE, power) record at a given p_x and state.
 
-    throughput_bps is the per-pair mean (the headline "average" series);
-    throughput_sum_bps carries the plain sum over pairs.
+    throughput_bps is the per-pair mean (the headline "average" series).
     """
 
     p_x: float
@@ -207,7 +200,6 @@ class MetricPoint:
     ee_bps_per_watt: float
     tx_power_w: float
     optimized: bool
-    throughput_sum_bps: float = 0.0
 
     def __post_init__(self) -> None:
         if self.state not in STATES:
@@ -217,17 +209,6 @@ class MetricPoint:
         _check_probability("p_x", self.p_x)
         if self.throughput_bps < 0.0:
             raise ValueError("throughput_bps must be >= 0")
-
-
-def classify_state(snr_db: float, snr_threshold_db: float) -> int:
-    """Primary-transmitter activity indicator from the received SNR.
-
-    Returns 0 (effectual: no primary interference) when the received SNR is
-    below the threshold, 1 (interference: primary transmitting) otherwise.
-    """
-    if not math.isfinite(snr_db) or not math.isfinite(snr_threshold_db):
-        raise ValueError("snr_db and snr_threshold_db must be finite")
-    return 0 if snr_db < snr_threshold_db else 1
 
 
 def duty_factor(sensing: SensingProfile) -> float:
@@ -243,6 +224,14 @@ def _detection_term(sensing: SensingProfile, state: str) -> float:
     return 1.0 - (sensing.p_false_alarm if state == EFFECTUAL else sensing.p_detection)
 
 
+def _base_denominator_w(env: RadioEnvironment, primary: Optional[PrimaryLink] = None) -> float:
+    """Noise power, plus the primary's received power in the interference state."""
+    base = env.noise_w()
+    if primary is not None:
+        base += primary.received_w()
+    return base
+
+
 def _pair_rates(
     env: RadioEnvironment,
     pairs: Sequence[DevicePair],
@@ -251,14 +240,11 @@ def _pair_rates(
 ) -> List[float]:
     """Per-pair spectral efficiency log2(1 + S / D) of one device class.
 
-    D is the noise power, plus the primary's received power when ``primary``
-    is given (interference state), plus the paired HRC's received power for
-    an MRC device.  This is the only place the link-budget denominator is
-    written out.
+    D is the base denominator (``_base_denominator_w``), plus the paired
+    HRC's received power for an MRC device.  This is the only place the
+    link-budget denominator is written out.
     """
-    base = env.noise_w()
-    if primary is not None:
-        base += primary.received_w()
+    base = _base_denominator_w(env, primary)
     if device == HRC:
         return [math.log2(1.0 + p.hrc_power_w * p.hrc_gain / base) for p in pairs]
     return [
@@ -267,13 +253,24 @@ def _pair_rates(
     ]
 
 
-def _throughput_bps(
+def throughput(
     sensing: SensingProfile,
     env: RadioEnvironment,
     pairs: Sequence[DevicePair],
     device: str,
     primary: Optional[PrimaryLink] = None,
 ) -> float:
+    """Summed throughput duty * p_x * w * b * sum_n log2(1 + S_n / D_n), in bps.
+
+    Without ``primary`` (effectual state, primary sensed idle) p_x is
+    p_inactive and w = 1 - p_false_alarm, the perfect-detection weight.
+    With it (interference state) p_x is p_active, w = 1 - p_detection, the
+    imperfect-detection weight, and the primary's received power joins the
+    noise in every D.  An MRC signal also sees its paired HRC's received
+    power in D as in-cell NOMA interference.
+    """
+    if device not in DEVICES:
+        raise ValueError(f"device must be one of {DEVICES}, got {device!r}")
     state = EFFECTUAL if primary is None else INTERFERENCE
     p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
     pref = duty_factor(sensing) * p_state * _detection_term(sensing, state)
@@ -282,60 +279,6 @@ def _throughput_bps(
     for rate in _pair_rates(env, pairs, device, primary):
         total += rate
     return pref * env.bandwidth_hz * total
-
-
-def throughput_hrc_effectual(
-    sensing: SensingProfile,
-    env: RadioEnvironment,
-    pairs: Sequence[DevicePair],
-) -> float:
-    """Summed HRC throughput with the primary transmitter sensed idle.
-
-    duty * p_inactive * (1 - p_false_alarm) * b * sum_n log2(1 + P_H g_h^2 / n_p b);
-    the probability prefactor is the perfect-detection weight.
-    """
-    return _throughput_bps(sensing, env, pairs, HRC)
-
-
-def throughput_mrc_effectual(
-    sensing: SensingProfile,
-    env: RadioEnvironment,
-    pairs: Sequence[DevicePair],
-) -> float:
-    """Summed MRC throughput with the primary idle.
-
-    Each MRC signal sees its paired HRC's received power as in-cell NOMA
-    interference on top of the noise floor.
-    """
-    return _throughput_bps(sensing, env, pairs, MRC)
-
-
-def throughput_hrc_interference(
-    sensing: SensingProfile,
-    env: RadioEnvironment,
-    pairs: Sequence[DevicePair],
-    primary: PrimaryLink,
-) -> float:
-    """Summed HRC throughput with the primary transmitting.
-
-    The probability prefactor p_active * (1 - p_detection) is the
-    imperfect-detection weight; the primary's received power joins the
-    noise in every denominator.
-    """
-    return _throughput_bps(sensing, env, pairs, HRC, primary)
-
-
-def throughput_mrc_interference(
-    sensing: SensingProfile,
-    env: RadioEnvironment,
-    pairs: Sequence[DevicePair],
-    primary: PrimaryLink,
-) -> float:
-    """Summed MRC throughput with the primary transmitting.
-
-    MRC suffers both the paired HRC signal and the primary interference.
-    """
-    return _throughput_bps(sensing, env, pairs, MRC, primary)
 
 
 def energy_efficiency(

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lambertw import lambert_w0
 from .metrics import (
     EFFECTUAL,
-    HRC,
     INTERFERENCE,
+    DevicePair,
     PowerOverheads,
     RadioEnvironment,
     SensingProfile,
+    _base_denominator_w,
     _detection_term,
     duty_factor,
 )
@@ -64,7 +65,6 @@ class OptProblem:
     overheads: PowerOverheads
     p_max_w: float = 1e6
     state: str = EFFECTUAL
-    device: str = HRC
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.gain) or self.gain <= 0.0:
@@ -266,6 +266,15 @@ class ScenarioOptima:
     mrc: Tuple[OptResult, ...]
 
 
+def _coupled_hrc_powers(
+    pairs: Sequence[DevicePair], hrc: Sequence[OptResult], coupling: str
+) -> List[float]:
+    """Per pair, the HRC power in the MRC denominator: the HRC optimum when
+    cascaded and feasible, else the nominal power."""
+    cascaded = coupling == "cascaded"
+    return [r.power_w if cascaded and r.feasible else p.hrc_power_w for p, r in zip(pairs, hrc)]
+
+
 def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> ScenarioOptima:
     """Closed-form optimal powers for every pair of a scenario.
 
@@ -278,36 +287,19 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     if coupling not in ("nominal", "cascaded"):
         raise ValueError(f"coupling must be 'nominal' or 'cascaded', got {coupling!r}")
 
-    base = scenario.env.noise_w()
-    if state == INTERFERENCE:
-        base += scenario.primary.received_w()
+    base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
     # OptProblem's denominator check, made without building one per device.
     if not 0.0 < base < math.inf:
         raise ValueError(f"denom_power_w must be > 0, got {base!r}")
     overhead = scenario.overheads.total_w
     kappa_b = _kappa_b(state, scenario.sensing, scenario.env)
-    cascaded = coupling == "cascaded"
+    pairs = scenario.pairs
 
-    hrc_results = []
-    mrc_results = []
-    for pair in scenario.pairs:
-        hrc_gain = pair.hrc_gain
-        hrc_result = _closed_form(hrc_gain, base, overhead, kappa_b, lambert_w0)
-        hrc_results.append(hrc_result)
-
-        hrc_power = pair.hrc_power_w
-        if cascaded and hrc_result.feasible:
-            hrc_power = hrc_result.power_w
-        mrc_denom = base + hrc_power * hrc_gain
+    hrc = tuple(_closed_form(p.hrc_gain, base, overhead, kappa_b, lambert_w0) for p in pairs)
+    mrc = []
+    for pair, hrc_power in zip(pairs, _coupled_hrc_powers(pairs, hrc, coupling)):
+        mrc_denom = base + hrc_power * pair.hrc_gain
         if not 0.0 < mrc_denom < math.inf:
             raise ValueError(f"denom_power_w must be > 0, got {mrc_denom!r}")
-        mrc_results.append(
-            _closed_form(pair.mrc_gain, mrc_denom, overhead, kappa_b, lambert_w0)
-        )
-
-    return ScenarioOptima(
-        state=state,
-        coupling=coupling,
-        hrc=tuple(hrc_results),
-        mrc=tuple(mrc_results),
-    )
+        mrc.append(_closed_form(pair.mrc_gain, mrc_denom, overhead, kappa_b, lambert_w0))
+    return ScenarioOptima(state=state, coupling=coupling, hrc=hrc, mrc=tuple(mrc))

@@ -20,7 +20,6 @@ import yaml
 
 from .metrics import (
     DEVICES,
-    EFFECTUAL,
     HRC,
     INTERFERENCE,
     STATES,
@@ -36,7 +35,7 @@ from .metrics import (
     duty_factor,
     energy_efficiency,
 )
-from .optimizer import _kappa_b, optimize_scenario
+from .optimizer import _coupled_hrc_powers, optimize_scenario
 from .pathloss import DEFAULT_LOS_PROBABILITY, ModelRangeWarning, pathloss_average_db, power_gain
 from .units import dbm_to_watt
 
@@ -49,7 +48,6 @@ __all__ = [
     "load_default_scenario",
     "default_scenario_text",
     "run_sweep",
-    "solve_gain_for_target",
 ]
 
 UNIT_MODES = ("watt", "dbm")
@@ -61,6 +59,19 @@ _GRID_DECIMALS = 12
 # Largest p_x grid a scenario may ask for. Every grid point becomes one
 # MetricPoint per series, so this bounds a series at a few hundred MiB.
 _MAX_GRID_POINTS = 1_000_000
+
+# The keys each table may hold ("" is the top level); any other key is a
+# ConfigError, so a misspelt key cannot silently leave a default in place.
+_KEYS = {
+    "": "label unit_mode env sensing pathloss sweep devices primary overheads".split(),
+    "env": "bandwidth_hz noise_psd_dbm_hz carrier_ghz".split(),
+    "sensing": "transmit_time_s sense_time_s p_inactive p_active p_false_alarm p_detection".split(),
+    "pathloss": "los_probability combine".split(),
+    "sweep": "start stop step".split(),
+    "devices": "hrc_power mrc_power hrc_gains mrc_gains hrc_distances_m mrc_distances_m".split(),
+    "primary": "power gain distance_m".split(),
+    "overheads": "circuit_power sensing_power".split(),
+}
 
 # libyaml's loader when PyYAML was built with it: the same SafeConstructor
 # and Resolver as SafeLoader, so the same document, parsed about 10x faster.
@@ -92,7 +103,11 @@ class Scenario:
     notes: Tuple[str, ...] = ()
 
     def content_hash(self) -> str:
-        """Stable hash of the physical content (notes excluded)."""
+        """Stable hash of every field except ``notes``, each through its repr.
+
+        Adding or removing a field of a component (``PrimaryLink``, ...)
+        changes its repr, and with it the hash.
+        """
         parts = [
             repr(self.env),
             repr(self.sensing),
@@ -121,12 +136,19 @@ class SweepSeries:
     sic_violations: int = 0
 
 
+def _reject_unknown_keys(table: Mapping, section: str) -> None:
+    for key in table:
+        if key not in _KEYS[section]:
+            raise ConfigError(f"{section}.{key}" if section else str(key), "unknown key")
+
+
 def _section(doc: Mapping, name: str, optional: bool = False) -> Mapping:
     value = doc.get(name)
     if value is None and optional:
         return {}
     if not isinstance(value, Mapping):
         raise ConfigError(name, "missing or not a table")
+    _reject_unknown_keys(value, name)
     return value
 
 
@@ -261,11 +283,6 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
             "env.noise_psd_dbm_hz",
             f"noise power must be finite and > 0 W, got {noise_w!r}",
         )
-    if "speed_of_light_m_s" in env_t:
-        # Recorded for config fidelity only; no implemented formula uses it.
-        notes.append(
-            f"env.speed_of_light_m_s = {env_t['speed_of_light_m_s']!r} recorded, unused"
-        )
 
     sens_t = _section(doc, "sensing")
     try:
@@ -363,8 +380,6 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         primary = PrimaryLink(
             power_w=_power_w(prim_t, "primary", "power", unit_mode),
             gain=gains[0],
-            snr_db=_number(prim_t, "primary", "snr_db", -25.0),
-            snr_threshold_db=_number(prim_t, "primary", "snr_threshold_db", -20.0),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -391,6 +406,9 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
     for p in grid:
         if not 0.0 <= p <= 1.0:
             raise ConfigError("sweep", f"grid value {p!r} is not a probability")
+
+    # After the sections, so that a misspelt required section reads as missing.
+    _reject_unknown_keys(doc, "")
 
     if not label:
         label = doc.get("label")
@@ -446,7 +464,7 @@ def run_sweep(
     For the optimized series, each pair's transmit power is replaced by its
     closed-form optimum; pairs whose optimization is infeasible keep their
     nominal power and are listed in ``infeasible_pairs``.  Headline values
-    are per-pair means; the plain sum is carried alongside in each point.
+    are per-pair means.
 
     Throughput is linear in p_x, so each pair's Shannon rate is computed
     once per series; every grid point then costs O(1) work per pair (one
@@ -462,6 +480,7 @@ def run_sweep(
     if optimized:
         optima = optimize_scenario(scenario, state, coupling)
         results = optima.hrc if device == HRC else optima.mrc
+        hrc_powers = _coupled_hrc_powers(scenario.pairs, optima.hrc, coupling)
         pairs = []
         # Optimized powers routinely break the nominal SIC ordering; record
         # the count instead of spraying warnings from internal rebuilds.
@@ -475,11 +494,8 @@ def run_sweep(
                 if device == HRC:
                     new_pair = replace(pair, hrc_power_w=result.power_w)
                 else:
-                    hrc_power = pair.hrc_power_w
-                    if coupling == "cascaded" and optima.hrc[index].feasible:
-                        hrc_power = optima.hrc[index].power_w
                     new_pair = replace(
-                        pair, mrc_power_w=result.power_w, hrc_power_w=hrc_power
+                        pair, mrc_power_w=result.power_w, hrc_power_w=hrc_powers[index]
                     )
                 if not new_pair.sic_ordering_ok():
                     sic_violations += 1
@@ -488,9 +504,13 @@ def run_sweep(
     else:
         pairs = scenario.pairs
 
+    # Plain running sums throughout: sum() rounds differently from Python
+    # 3.12 on, and these totals must not depend on the interpreter.
     n = len(pairs)
-    tx_powers = [p.hrc_power_w if device == HRC else p.mrc_power_w for p in pairs]
-    mean_tx = sum(tx_powers) / n
+    tx_total = 0.0
+    for p in pairs:
+        tx_total += p.hrc_power_w if device == HRC else p.mrc_power_w
+    mean_tx = tx_total / n
 
     sensing = scenario.sensing
     primary = scenario.primary if state == INTERFERENCE else None
@@ -504,10 +524,12 @@ def run_sweep(
     try:
         for p_x in scenario.sweep_grid:
             # ((duty * p_x) * miss) * b * rate, summed in pair order: the
-            # operation order of the throughput_* functions on one pair, so
-            # every value is bit-identical to evaluating them per point.
+            # operation order of ``throughput`` on one pair, so every value
+            # is bit-identical to evaluating it per pair and point.
             pb = duty * p_x * miss * bandwidth
-            total = sum([pb * r for r in rates])
+            total = 0.0
+            for r in rates:
+                total += pb * r
             mean = total / n
             points.append(
                 MetricPoint(
@@ -518,7 +540,6 @@ def run_sweep(
                     ee_bps_per_watt=energy_efficiency(mean, mean_tx, overheads),
                     tx_power_w=mean_tx,
                     optimized=optimized,
-                    throughput_sum_bps=total,
                 )
             )
     except ValueError as exc:
@@ -533,32 +554,3 @@ def run_sweep(
         infeasible_pairs=tuple(infeasible),
         sic_violations=sic_violations,
     )
-
-
-def solve_gain_for_target(
-    target_bps: float,
-    sensing: SensingProfile,
-    env: RadioEnvironment,
-    tx_power_w: float,
-    interference_w: float = 0.0,
-    state: str = EFFECTUAL,
-) -> float:
-    """Power gain |g|^2 at which a single pair hits a target throughput.
-
-    Closed-form inversion of the single-pair rate:
-    g2 = (2**(target / (kappa * b)) - 1) * D / P with D the noise power plus
-    the given interference received power.
-    """
-    if target_bps < 0.0:
-        raise ValueError(f"target_bps must be >= 0, got {target_bps!r}")
-    if tx_power_w <= 0.0:
-        raise ValueError(f"tx_power_w must be > 0, got {tx_power_w!r}")
-    if interference_w < 0.0:
-        raise ValueError(f"interference_w must be >= 0, got {interference_w!r}")
-    if state not in STATES:
-        raise ValueError(f"state must be one of {STATES}, got {state!r}")
-    kappa_b = _kappa_b(state, sensing, env)
-    if kappa_b <= 0.0:
-        raise ValueError("probability prefactor times bandwidth is zero; target unreachable")
-    denom = env.noise_w() + interference_w
-    return (2.0 ** (target_bps / kappa_b) - 1.0) * denom / tx_power_w

@@ -352,6 +352,32 @@ def test_malformed_yaml_is_config_error_under_each_loader(tmp_path, capsys, monk
     assert "YAML parse failure" in capsys.readouterr().err
 
 
+def _with_line(after, line):
+    """SYMMETRIC_SCENARIO with ``line`` added below the line starting ``after``."""
+    head, tail = SYMMETRIC_SCENARIO.split(after, 1)
+    first, rest = tail.split("\n", 1)
+    return f"{head}{after}{first}\n{line}\n{rest}"
+
+
+UNKNOWN_KEYS = [
+    (_with_line("  sense_time_s:", "  p_inactve: 0.9"), "sensing.p_inactve"),
+    (SYMMETRIC_SCENARIO + "\nsweep:\n  stpe: 0.5\n", "sweep.stpe"),
+    (SYMMETRIC_SCENARIO + "\nextras:\n  note: 1\n", "extras"),
+    # Keys that once fed fields nothing read are now plain unknown keys.
+    (_with_line("  carrier_ghz:", "  speed_of_light_m_s: 3.0e+8"), "env.speed_of_light_m_s"),
+    (_with_line("  gain:", "  snr_db: -25.0"), "primary.snr_db"),
+    (_with_line("  gain:", "  snr_threshold_db: -20.0"), "primary.snr_threshold_db"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, field", [pytest.param(text, field, id=field) for text, field in UNKNOWN_KEYS]
+)
+def test_unknown_key_is_config_error(tmp_path, capsys, text, field):
+    assert _probe_exit(tmp_path, text) == 2
+    assert f"configuration error: {field}: unknown key" in capsys.readouterr().err
+
+
 def _probe_exit(tmp_path, text, command="sweep"):
     scenario = write(tmp_path, "probe.yaml", text)
     args = ["--device", "hrc"] if command == "sweep" else []

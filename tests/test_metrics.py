@@ -1,26 +1,23 @@
-"""Link metrics: state classifier, throughputs, EE, improvement percentage."""
+"""Link metrics: throughputs, EE, improvement percentage."""
 
-import math
 import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
 from crnoma import (
+    HRC,
+    MRC,
     DevicePair,
     PowerOverheads,
     PrimaryLink,
     RadioEnvironment,
     SensingProfile,
     SicOrderingWarning,
-    classify_state,
     duty_factor,
     energy_efficiency,
     improvement_percent,
-    throughput_hrc_effectual,
-    throughput_hrc_interference,
-    throughput_mrc_effectual,
-    throughput_mrc_interference,
+    throughput,
 )
 
 # Reference EE operating points: throughput bps / tx watts under 99+1 W
@@ -58,14 +55,6 @@ def pair(hrc_power=1e-3, mrc_power=1e-4, hrc_gain=1.0, mrc_gain=1.0):
         )
 
 
-def test_classify_state():
-    assert classify_state(-25.0, -20.0) == 0
-    assert classify_state(-20.0, -20.0) == 1
-    assert classify_state(-10.0, -20.0) == 1
-    with pytest.raises(ValueError):
-        classify_state(math.nan, -20.0)
-
-
 def test_duty_factor():
     assert duty_factor(SensingProfile(0.125e-3, 0.125e-3)) == 0.5
     assert duty_factor(SensingProfile(1.0, 0.0)) == 1.0
@@ -74,56 +63,54 @@ def test_duty_factor():
 
 def test_hrc_effectual_unit_snr():
     # P_H * g_h equals the noise floor, so log2(1 + 1) = 1, halved by duty.
-    assert throughput_hrc_effectual(sensing(), UNIT_ENV, [pair()]) == 0.5
+    assert throughput(sensing(), UNIT_ENV, [pair()], HRC) == 0.5
 
 
 def test_hrc_effectual_sums_over_pairs():
     pairs = [pair(), pair()]
-    assert throughput_hrc_effectual(sensing(), UNIT_ENV, pairs) == 1.0
+    assert throughput(sensing(), UNIT_ENV, pairs, HRC) == 1.0
 
 
 def test_hrc_effectual_zero_probability():
-    assert throughput_hrc_effectual(sensing(p_inactive=0.0), UNIT_ENV, [pair()]) == 0.0
+    assert throughput(sensing(p_inactive=0.0), UNIT_ENV, [pair()], HRC) == 0.0
 
 
 def test_mrc_effectual_unit_sinr():
     # P_M * g_m equals noise + HRC received power.
     p = pair(hrc_power=1e-3, mrc_power=2e-3)
-    value = throughput_mrc_effectual(sensing(), UNIT_ENV, [p])
+    value = throughput(sensing(), UNIT_ENV, [p], MRC)
     assert value == pytest.approx(0.5, rel=1e-12)
 
 
 def test_mrc_effectual_zero_power():
     p = pair(mrc_power=0.0)
-    assert throughput_mrc_effectual(sensing(), UNIT_ENV, [p]) == 0.0
+    assert throughput(sensing(), UNIT_ENV, [p], MRC) == 0.0
 
 
 def test_mrc_effectual_vanishes_under_huge_pair_interference():
     p = pair(hrc_power=1e9, mrc_power=1e-3)
-    assert throughput_mrc_effectual(sensing(), UNIT_ENV, [p]) < 1e-9
+    assert throughput(sensing(), UNIT_ENV, [p], MRC) < 1e-9
 
 
 def test_hrc_interference_three_to_one():
     # P_H * g_h = 3 * (noise + primary received) gives log2(4) = 2.
     primary = PrimaryLink(power_w=3e-3, gain=1.0)
     p = pair(hrc_power=3.0 * (1e-3 + 3e-3), mrc_power=1e-4)
-    value = throughput_hrc_interference(sensing(), UNIT_ENV, [p], primary)
+    value = throughput(sensing(), UNIT_ENV, [p], HRC, primary)
     assert value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_hrc_interference_perfect_detection_suppresses():
     primary = PrimaryLink(power_w=3e-3, gain=1.0)
-    value = throughput_hrc_interference(
-        sensing(p_detection=1.0), UNIT_ENV, [pair()], primary
-    )
+    value = throughput(sensing(p_detection=1.0), UNIT_ENV, [pair()], HRC, primary)
     assert value == 0.0
 
 
 def test_hrc_interference_reduces_to_effectual_without_primary():
     primary = PrimaryLink(power_w=0.0, gain=1.0)
     s = sensing()
-    assert throughput_hrc_interference(s, UNIT_ENV, [pair()], primary) == (
-        throughput_hrc_effectual(s, UNIT_ENV, [pair()])
+    assert throughput(s, UNIT_ENV, [pair()], HRC, primary) == (
+        throughput(s, UNIT_ENV, [pair()], HRC)
     )
 
 
@@ -131,15 +118,13 @@ def test_mrc_interference_unit_sinr():
     primary = PrimaryLink(power_w=2e-3, gain=1.0)
     # numerator = noise + HRC received + primary received = 4 mW
     p = pair(hrc_power=1e-3, mrc_power=4e-3)
-    value = throughput_mrc_interference(sensing(), UNIT_ENV, [p], primary)
+    value = throughput(sensing(), UNIT_ENV, [p], MRC, primary)
     assert value == pytest.approx(0.5, rel=1e-12)
 
 
 def test_mrc_interference_zero_probability():
     primary = PrimaryLink(power_w=2e-3, gain=1.0)
-    value = throughput_mrc_interference(
-        sensing(p_active=0.0), UNIT_ENV, [pair()], primary
-    )
+    value = throughput(sensing(p_active=0.0), UNIT_ENV, [pair()], MRC, primary)
     assert value == 0.0
 
 
@@ -147,8 +132,13 @@ def test_mrc_interference_reduces_without_hrc_and_primary():
     primary = PrimaryLink(power_w=0.0, gain=1.0)
     p = pair(hrc_power=0.0, mrc_power=1e-3)
     s = sensing()
-    value = throughput_mrc_interference(s, UNIT_ENV, [p], primary)
+    value = throughput(s, UNIT_ENV, [p], MRC, primary)
     assert value == pytest.approx(0.5, rel=1e-12)
+
+
+def test_throughput_rejects_unknown_device():
+    with pytest.raises(ValueError, match="device must be one of"):
+        throughput(sensing(), UNIT_ENV, [pair()], "xrc")
 
 
 def test_energy_efficiency_reference_points():
@@ -215,20 +205,20 @@ def test_linearity_in_probability(p_x):
     primary = PrimaryLink(power_w=1e-3, gain=0.75)
     for full, half in (
         (
-            throughput_hrc_effectual(s_full, UNIT_ENV, [p]),
-            throughput_hrc_effectual(s_half, UNIT_ENV, [p]),
+            throughput(s_full, UNIT_ENV, [p], HRC),
+            throughput(s_half, UNIT_ENV, [p], HRC),
         ),
         (
-            throughput_mrc_effectual(s_full, UNIT_ENV, [p]),
-            throughput_mrc_effectual(s_half, UNIT_ENV, [p]),
+            throughput(s_full, UNIT_ENV, [p], MRC),
+            throughput(s_half, UNIT_ENV, [p], MRC),
         ),
         (
-            throughput_hrc_interference(s_full, UNIT_ENV, [p], primary),
-            throughput_hrc_interference(s_half, UNIT_ENV, [p], primary),
+            throughput(s_full, UNIT_ENV, [p], HRC, primary),
+            throughput(s_half, UNIT_ENV, [p], HRC, primary),
         ),
         (
-            throughput_mrc_interference(s_full, UNIT_ENV, [p], primary),
-            throughput_mrc_interference(s_half, UNIT_ENV, [p], primary),
+            throughput(s_full, UNIT_ENV, [p], MRC, primary),
+            throughput(s_half, UNIT_ENV, [p], MRC, primary),
         ),
     ):
         assert half == full / 2.0
@@ -243,8 +233,8 @@ def test_summation_additivity(gains):
     pairs = [pair(hrc_power=0.7, mrc_power=0.3, hrc_gain=g, mrc_gain=g / 2) for g in gains]
     env = RadioEnvironment(bandwidth_hz=1e6, noise_psd_dbm_hz=-174.0, carrier_ghz=5.0)
     s = sensing(p_inactive=0.5)
-    combined = throughput_hrc_effectual(s, env, pairs)
-    summed = sum(throughput_hrc_effectual(s, env, [p]) for p in pairs)
+    combined = throughput(s, env, pairs, HRC)
+    summed = sum(throughput(s, env, [p], HRC) for p in pairs)
     assert combined == pytest.approx(summed, rel=1e-12)
 
 
@@ -253,7 +243,7 @@ def test_hrc_dominates_mrc_effectual():
     p = pair(hrc_power=0.7, mrc_power=0.3, hrc_gain=1e-12, mrc_gain=1e-12)
     env = RadioEnvironment(bandwidth_hz=1e6, noise_psd_dbm_hz=-174.0, carrier_ghz=5.0)
     s = sensing(p_inactive=0.5, p_false_alarm=0.1)
-    assert throughput_hrc_effectual(s, env, [p]) > throughput_mrc_effectual(s, env, [p])
+    assert throughput(s, env, [p], HRC) > throughput(s, env, [p], MRC)
 
 
 def test_effectual_dominates_interference_per_state():
@@ -263,12 +253,8 @@ def test_effectual_dominates_interference_per_state():
     p = pair(hrc_power=0.7, mrc_power=0.3, hrc_gain=1e-13, mrc_gain=8e-14)
     primary = PrimaryLink(power_w=50.0, gain=1e-14)
     assert primary.received_w() > 0.0
-    assert throughput_hrc_effectual(s, env, [p]) > throughput_hrc_interference(
-        s, env, [p], primary
-    )
-    assert throughput_mrc_effectual(s, env, [p]) > throughput_mrc_interference(
-        s, env, [p], primary
-    )
+    assert throughput(s, env, [p], HRC) > throughput(s, env, [p], HRC, primary)
+    assert throughput(s, env, [p], MRC) > throughput(s, env, [p], MRC, primary)
 
 
 @given(scale=st.floats(min_value=1.1, max_value=100.0))
@@ -282,19 +268,11 @@ def test_monotone_in_own_power_and_interference(scale):
     stronger_primary = PrimaryLink(power_w=50.0 * scale, gain=1e-14)
 
     # Own power strictly raises throughput.
-    assert throughput_hrc_effectual(s, env, [boosted_hrc]) > throughput_hrc_effectual(
-        s, env, [base]
-    )
-    assert throughput_mrc_effectual(s, env, [boosted_mrc]) > throughput_mrc_effectual(
-        s, env, [base]
-    )
+    assert throughput(s, env, [boosted_hrc], HRC) > throughput(s, env, [base], HRC)
+    assert throughput(s, env, [boosted_mrc], MRC) > throughput(s, env, [base], MRC)
     # Interference powers strictly lower it.
-    assert throughput_mrc_effectual(s, env, [boosted_hrc]) < throughput_mrc_effectual(
-        s, env, [base]
-    )
-    assert throughput_hrc_interference(
-        s, env, [base], stronger_primary
-    ) < throughput_hrc_interference(s, env, [base], primary)
-    assert throughput_mrc_interference(
-        s, env, [base], stronger_primary
-    ) < throughput_mrc_interference(s, env, [base], primary)
+    assert throughput(s, env, [boosted_hrc], MRC) < throughput(s, env, [base], MRC)
+    weaker = throughput(s, env, [base], HRC, stronger_primary)
+    assert weaker < throughput(s, env, [base], HRC, primary)
+    weaker = throughput(s, env, [base], MRC, stronger_primary)
+    assert weaker < throughput(s, env, [base], MRC, primary)

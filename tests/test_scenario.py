@@ -1,4 +1,4 @@
-"""Scenario loading, validation diagnostics, sweeps, and gain calibration."""
+"""Scenario loading, validation diagnostics, and sweeps."""
 
 import math
 import random
@@ -22,11 +22,7 @@ from crnoma import (
     pathloss_average_db,
     power_gain,
     run_sweep,
-    solve_gain_for_target,
-    throughput_hrc_effectual,
-    throughput_hrc_interference,
-    throughput_mrc_effectual,
-    throughput_mrc_interference,
+    throughput,
 )
 from crnoma.scenario import default_scenario_text
 from conftest import make_scenario
@@ -162,6 +158,28 @@ def test_missing_section_names_it():
     assert "overheads" in str(err.value)
 
 
+SECTIONS = ("env", "sensing", "pathloss", "sweep", "devices", "primary", "overheads")
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_unknown_key_in_section_names_it(section):
+    if f"\n{section}:\n" in MINIMAL:
+        text = MINIMAL.replace(f"\n{section}:\n", f"\n{section}:\n  bogus: 1\n")
+    else:
+        text = MINIMAL + f"\n{section}:\n  bogus: 1\n"
+    with pytest.raises(ConfigError) as err:
+        load_scenario(text)
+    assert err.value.field == f"{section}.bogus"
+    assert str(err.value) == f"{section}.bogus: unknown key"
+
+
+def test_unknown_top_level_key_names_it():
+    with pytest.raises(ConfigError) as err:
+        load_scenario(MINIMAL + "\nextras: {note: 1}\n")
+    assert err.value.field == "extras"
+    assert str(err.value) == "extras: unknown key"
+
+
 def test_dbm_unit_mode_converts_powers():
     text = "unit_mode: dbm\n" + MINIMAL.replace("label: minimal", "")
     scn = load_scenario(text)
@@ -249,13 +267,6 @@ def test_sweep_ee_identity(default_scenario):
                     assert point.ee_bps_per_watt == pytest.approx(expected, rel=1e-12)
 
 
-def test_sweep_mean_is_sum_over_pairs(default_scenario):
-    series = run_sweep(default_scenario, EFFECTUAL, "hrc", optimized=False)
-    n = len(default_scenario.pairs)
-    for point in series.points:
-        assert point.throughput_sum_bps == pytest.approx(point.throughput_bps * n, rel=1e-12)
-
-
 def test_sweep_determinism(default_scenario):
     a = run_sweep(default_scenario, INTERFERENCE, "mrc", optimized=True)
     b = run_sweep(default_scenario, INTERFERENCE, "mrc", optimized=True)
@@ -338,21 +349,24 @@ def _reference_pairs(scn, state, device, optimized, coupling):
 
 
 def _reference_points(scn, state, device, pairs):
-    """Per-point values the straightforward way: one public throughput_*
-    call per pair and grid point over a SensingProfile rebuilt with p_x."""
+    """Per-point values the straightforward way: one public ``throughput``
+    call per pair and grid point over a SensingProfile rebuilt with p_x,
+    totalled by plain running sums (sum() rounds differently from 3.12 on)."""
     n = len(pairs)
-    mean_tx = sum([p.hrc_power_w if device == "hrc" else p.mrc_power_w for p in pairs]) / n
+    tx_total = 0.0
+    for p in pairs:
+        tx_total += p.hrc_power_w if device == "hrc" else p.mrc_power_w
+    mean_tx = tx_total / n
     for p_x in scn.sweep_grid:
         if state == EFFECTUAL:
-            sensing = replace(scn.sensing, p_inactive=p_x)
-            rate = throughput_hrc_effectual if device == "hrc" else throughput_mrc_effectual
-            total = sum([rate(sensing, scn.env, [pair]) for pair in pairs])
+            sensing, primary = replace(scn.sensing, p_inactive=p_x), None
         else:
-            sensing = replace(scn.sensing, p_active=p_x)
-            rate = throughput_hrc_interference if device == "hrc" else throughput_mrc_interference
-            total = sum([rate(sensing, scn.env, [pair], scn.primary) for pair in pairs])
+            sensing, primary = replace(scn.sensing, p_active=p_x), scn.primary
+        total = 0.0
+        for pair in pairs:
+            total += throughput(sensing, scn.env, [pair], device, primary)
         mean = total / n
-        yield total, mean, energy_efficiency(mean, mean_tx, scn.overheads)
+        yield mean, energy_efficiency(mean, mean_tx, scn.overheads)
 
 
 @pytest.mark.parametrize("state, device, optimized, coupling", SERIES)
@@ -365,8 +379,7 @@ def test_sweep_is_bit_identical_to_per_pair_path(
     pairs = _reference_pairs(scn, state, device, optimized, coupling)
     expected = list(_reference_points(scn, state, device, pairs))
     assert len(series.points) == len(expected) == len(scn.sweep_grid)
-    for point, (total, mean, ee) in zip(series.points, expected):
-        assert point.throughput_sum_bps == total
+    for point, (mean, ee) in zip(series.points, expected):
         assert point.throughput_bps == mean
         assert point.ee_bps_per_watt == ee
 
@@ -390,43 +403,6 @@ def test_sweep_rejects_grid_value_outside_probability(default_scenario):
     scn = replace(default_scenario, sweep_grid=(0.0, 0.5, 1.5))
     with pytest.raises(ValueError, match="p_x=1.5"):
         run_sweep(scn, EFFECTUAL, "hrc", optimized=False)
-
-
-def test_solve_gain_round_trip(default_scenario):
-    scn = default_scenario
-    target = 2.5e5
-    gain = solve_gain_for_target(target, scn.sensing, scn.env, tx_power_w=0.7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SicOrderingWarning)
-        pair = replace(scn.pairs[0], hrc_gain=gain)
-    achieved = throughput_hrc_effectual(scn.sensing, scn.env, [pair])
-    assert achieved == pytest.approx(target, rel=1e-9)
-
-
-def test_solve_gain_unit_sinr(default_scenario):
-    scn = default_scenario
-    from crnoma import duty_factor
-
-    kappa_b = (
-        duty_factor(scn.sensing)
-        * scn.sensing.p_inactive
-        * (1.0 - scn.sensing.p_false_alarm)
-        * scn.env.bandwidth_hz
-    )
-    gain = solve_gain_for_target(kappa_b, scn.sensing, scn.env, tx_power_w=0.7)
-    assert gain == pytest.approx(scn.env.noise_w() / 0.7, rel=1e-12)
-
-
-def test_solve_gain_zero_target_is_boundary(default_scenario):
-    scn = default_scenario
-    assert solve_gain_for_target(0.0, scn.sensing, scn.env, tx_power_w=0.7) == 0.0
-
-
-def test_solve_gain_zero_prefactor_rejected(default_scenario):
-    scn = default_scenario
-    dead = replace(scn.sensing, p_inactive=0.0)
-    with pytest.raises(ValueError):
-        solve_gain_for_target(1e5, dead, scn.env, tx_power_w=0.7)
 
 
 def test_content_hash_tracks_content(default_scenario):
