@@ -21,7 +21,6 @@ from .metrics import (
     PrimaryLink,
     RadioEnvironment,
     SensingProfile,
-    SicOrderingWarning,
     duty_factor,
     energy_efficiency,
     improvement_percent,
@@ -38,7 +37,6 @@ from .optimizer import (
 )
 from .pathloss import (
     DEFAULT_LOS_PROBABILITY,
-    ModelRangeWarning,
     pathloss_average_db,
     pathloss_los_db,
     pathloss_nlos_db,
@@ -70,7 +68,6 @@ __all__ = [
     "INTERFERENCE",
     "MRC",
     "MetricPoint",
-    "ModelRangeWarning",
     "OptProblem",
     "OptResult",
     "PowerOverheads",
@@ -80,7 +77,6 @@ __all__ = [
     "Scenario",
     "ScenarioOptima",
     "SensingProfile",
-    "SicOrderingWarning",
     "SweepSeries",
     "ValidationReport",
     "dbm_to_watt",

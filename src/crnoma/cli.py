@@ -18,7 +18,13 @@ from typing import List, Optional
 
 from .metrics import DEVICES, STATES, improvement_percent
 from .optimizer import optimize_scenario
-from .pathloss import pathloss_average_db, pathloss_los_db, pathloss_nlos_db, power_gain
+from .pathloss import (
+    pathloss_average_db,
+    pathloss_los_db,
+    pathloss_nlos_db,
+    power_gain,
+    range_notes,
+)
 from .scenario import (
     ConfigError,
     Scenario,
@@ -63,8 +69,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
     return _NUM_FMT.format(value)
 
 
@@ -164,6 +168,9 @@ def _cmd_pathloss(args: argparse.Namespace) -> int:
     try:
         los = pathloss_los_db(args.d, args.f)
         nlos = pathloss_nlos_db(args.d, args.f)
+        # The inputs are in the model's domain; note any outside its range.
+        for note in range_notes(args.d, args.f):
+            print(f"note: {note}", file=sys.stderr)
         average = pathloss_average_db(args.d, args.f, args.omega, args.combine)
         gain = power_gain(average)
     except ValueError as exc:

@@ -11,7 +11,6 @@ throughput in bits/second, energy efficiency in bits/second/watt.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -24,7 +23,6 @@ __all__ = [
     "MRC",
     "STATES",
     "DEVICES",
-    "SicOrderingWarning",
     "SensingProfile",
     "RadioEnvironment",
     "DevicePair",
@@ -44,15 +42,6 @@ HRC = "hrc"
 MRC = "mrc"
 STATES = (EFFECTUAL, INTERFERENCE)
 DEVICES = (HRC, MRC)
-
-
-class SicOrderingWarning(UserWarning):
-    """Received HRC power does not dominate its paired MRC signal.
-
-    Successive interference cancellation assumes the stronger HRC signal is
-    decoded first; when p_hrc * g_hrc <= p_mrc * g_mrc that premise is
-    strained, though every formula remains well defined.
-    """
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -135,16 +124,13 @@ class DevicePair:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
-        if not self.sic_ordering_ok():
-            warnings.warn(
-                "received HRC power does not exceed the paired MRC power "
-                f"({self.hrc_power_w * self.hrc_gain:.3e} W <= "
-                f"{self.mrc_power_w * self.mrc_gain:.3e} W); SIC ordering strained",
-                SicOrderingWarning,
-                stacklevel=3,
-            )
 
     def sic_ordering_ok(self) -> bool:
+        """Whether the received HRC power exceeds the paired MRC power.
+
+        SIC decodes the stronger HRC signal first; when this is False that
+        premise is strained, though every formula remains well defined.
+        """
         return self.hrc_power_w * self.hrc_gain > self.mrc_power_w * self.mrc_gain
 
 

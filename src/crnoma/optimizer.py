@@ -266,6 +266,11 @@ class ScenarioOptima:
     mrc: Tuple[OptResult, ...]
 
 
+def _check_coupling(coupling: str) -> None:
+    if coupling not in ("nominal", "cascaded"):
+        raise ValueError(f"coupling must be 'nominal' or 'cascaded', got {coupling!r}")
+
+
 def _coupled_hrc_powers(
     pairs: Sequence[DevicePair], hrc: Sequence[OptResult], coupling: str
 ) -> List[float]:
@@ -284,8 +289,7 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     """
     if state not in (EFFECTUAL, INTERFERENCE):
         raise ValueError(f"state must be 'effectual' or 'interference', got {state!r}")
-    if coupling not in ("nominal", "cascaded"):
-        raise ValueError(f"coupling must be 'nominal' or 'cascaded', got {coupling!r}")
+    _check_coupling(coupling)
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
     # OptProblem's denominator check, made without building one per device.

@@ -2,17 +2,16 @@
 
 Dual LOS/NLOS log-distance model with a LOS-probability-weighted average,
 stated in dB for carrier frequencies of 2-6 GHz and link distances of
-10-2000 m.  Inputs outside that range are allowed but flagged with a
-``ModelRangeWarning`` so sweeps can probe the edges without aborting.
+10-2000 m.  Inputs outside that range are allowed; ``range_notes`` names
+what lies outside it, so sweeps can probe the edges without aborting.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+from typing import List
 
 __all__ = [
-    "ModelRangeWarning",
     "VALID_DISTANCE_M",
     "VALID_CARRIER_GHZ",
     "DEFAULT_LOS_PROBABILITY",
@@ -20,6 +19,7 @@ __all__ = [
     "pathloss_nlos_db",
     "pathloss_average_db",
     "power_gain",
+    "range_notes",
 ]
 
 VALID_DISTANCE_M = (10.0, 2000.0)
@@ -29,29 +29,25 @@ VALID_CARRIER_GHZ = (2.0, 6.0)
 DEFAULT_LOS_PROBABILITY = 0.5
 
 
-class ModelRangeWarning(UserWarning):
-    """Input lies outside the pathloss model's stated validity range."""
-
-
 def _validate(distance_m: float, carrier_ghz: float) -> None:
     if not math.isfinite(distance_m) or distance_m <= 0.0:
         raise ValueError(f"distance_m must be finite and > 0, got {distance_m!r}")
     if not math.isfinite(carrier_ghz) or carrier_ghz <= 0.0:
         raise ValueError(f"carrier_ghz must be finite and > 0, got {carrier_ghz!r}")
+
+
+def range_notes(distance_m: float, carrier_ghz: float) -> List[str]:
+    """One note per input outside the model's stated validity range, else []."""
+    notes = []
     if not VALID_DISTANCE_M[0] <= distance_m <= VALID_DISTANCE_M[1]:
-        warnings.warn(
-            f"distance {distance_m} m outside the model validity range "
-            f"{VALID_DISTANCE_M} m",
-            ModelRangeWarning,
-            stacklevel=3,
+        notes.append(
+            f"distance {distance_m} m outside the model validity range {VALID_DISTANCE_M} m"
         )
     if not VALID_CARRIER_GHZ[0] <= carrier_ghz <= VALID_CARRIER_GHZ[1]:
-        warnings.warn(
-            f"carrier {carrier_ghz} GHz outside the model validity range "
-            f"{VALID_CARRIER_GHZ} GHz",
-            ModelRangeWarning,
-            stacklevel=3,
+        notes.append(
+            f"carrier {carrier_ghz} GHz outside the model validity range {VALID_CARRIER_GHZ} GHz"
         )
+    return notes
 
 
 def pathloss_los_db(distance_m: float, carrier_ghz: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Optional, Tuple
@@ -29,14 +28,13 @@ from .metrics import (
     PrimaryLink,
     RadioEnvironment,
     SensingProfile,
-    SicOrderingWarning,
     _detection_term,
     _pair_rates,
     duty_factor,
     energy_efficiency,
 )
-from .optimizer import _coupled_hrc_powers, optimize_scenario
-from .pathloss import DEFAULT_LOS_PROBABILITY, ModelRangeWarning, pathloss_average_db, power_gain
+from .optimizer import _check_coupling, _coupled_hrc_powers, optimize_scenario
+from .pathloss import DEFAULT_LOS_PROBABILITY, pathloss_average_db, power_gain, range_notes
 from .units import dbm_to_watt
 
 __all__ = [
@@ -235,16 +233,18 @@ def _resolve_gains(
                 raise ConfigError(f"{section}[{i}]", f"gain must be > 0, got {g!r}")
         return gains, None
     resolved = []
-    with warnings.catch_warnings(record=True) as captured:
-        warnings.simplefilter("always", ModelRangeWarning)
-        for i, d in enumerate(distances):
-            try:
-                gain = power_gain(pathloss_average_db(d, carrier_ghz, los_probability, combine))
-            except ValueError as exc:
-                raise ConfigError(f"{section}[{i}]", str(exc)) from None
-            resolved.append(gain)
-        for w in captured:
-            notes.append(f"{section}: {w.message}")
+    for i, d in enumerate(distances):
+        try:
+            gain = power_gain(pathloss_average_db(d, carrier_ghz, los_probability, combine))
+        except ValueError as exc:
+            raise ConfigError(f"{section}[{i}]", str(exc)) from None
+        resolved.append(gain)
+    # Each distinct range note once per section, in first-seen order.
+    notes.extend(
+        dict.fromkeys(
+            f"{section}: {note}" for d in distances for note in range_notes(d, carrier_ghz)
+        )
+    )
     return tuple(resolved), distances
 
 
@@ -347,24 +347,25 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         )
 
     pairs = []
-    with warnings.catch_warnings(record=True) as captured:
-        warnings.simplefilter("always", SicOrderingWarning)
-        for i in range(len(hrc_gains)):
-            try:
-                pairs.append(
-                    DevicePair(
-                        hrc_power_w=hrc_power,
-                        mrc_power_w=mrc_power,
-                        hrc_gain=hrc_gains[i],
-                        mrc_gain=mrc_gains[i],
-                        hrc_distance_m=hrc_distances[i] if hrc_distances else None,
-                        mrc_distance_m=mrc_distances[i] if mrc_distances else None,
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"devices[{i}]", str(exc)) from None
-        for w in captured:
-            notes.append(f"devices[pair]: {w.message}")
+    for i in range(len(hrc_gains)):
+        try:
+            pair = DevicePair(
+                hrc_power_w=hrc_power,
+                mrc_power_w=mrc_power,
+                hrc_gain=hrc_gains[i],
+                mrc_gain=mrc_gains[i],
+                hrc_distance_m=hrc_distances[i] if hrc_distances else None,
+                mrc_distance_m=mrc_distances[i] if mrc_distances else None,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"devices[{i}]", str(exc)) from None
+        pairs.append(pair)
+        if not pair.sic_ordering_ok():
+            notes.append(
+                "devices[pair]: received HRC power does not exceed the paired MRC power "
+                f"({pair.hrc_power_w * pair.hrc_gain:.3e} W <= "
+                f"{pair.mrc_power_w * pair.mrc_gain:.3e} W); SIC ordering strained"
+            )
 
     prim_t = _section(doc, "primary")
     prim_gain = None
@@ -474,6 +475,7 @@ def run_sweep(
         raise ValueError(f"state must be one of {STATES}, got {state!r}")
     if device not in DEVICES:
         raise ValueError(f"device must be one of {DEVICES}, got {device!r}")
+    _check_coupling(coupling)
 
     infeasible = []
     sic_violations = 0
@@ -482,24 +484,22 @@ def run_sweep(
         results = optima.hrc if device == HRC else optima.mrc
         hrc_powers = _coupled_hrc_powers(scenario.pairs, optima.hrc, coupling)
         pairs = []
-        # Optimized powers routinely break the nominal SIC ordering; record
-        # the count instead of spraying warnings from internal rebuilds.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SicOrderingWarning)
-            for index, (pair, result) in enumerate(zip(scenario.pairs, results)):
-                if not result.feasible:
-                    infeasible.append(index)
-                    pairs.append(pair)
-                    continue
-                if device == HRC:
-                    new_pair = replace(pair, hrc_power_w=result.power_w)
-                else:
-                    new_pair = replace(
-                        pair, mrc_power_w=result.power_w, hrc_power_w=hrc_powers[index]
-                    )
-                if not new_pair.sic_ordering_ok():
-                    sic_violations += 1
-                pairs.append(new_pair)
+        # Optimized powers routinely break the nominal SIC ordering; the
+        # series records how often.
+        for index, (pair, result) in enumerate(zip(scenario.pairs, results)):
+            if not result.feasible:
+                infeasible.append(index)
+                pairs.append(pair)
+                continue
+            if device == HRC:
+                new_pair = replace(pair, hrc_power_w=result.power_w)
+            else:
+                new_pair = replace(
+                    pair, mrc_power_w=result.power_w, hrc_power_w=hrc_powers[index]
+                )
+            if not new_pair.sic_ordering_ok():
+                sic_violations += 1
+            pairs.append(new_pair)
         pairs = tuple(pairs)
     else:
         pairs = scenario.pairs

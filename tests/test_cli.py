@@ -8,7 +8,6 @@ import yaml
 
 import crnoma.scenario
 from crnoma.cli import main
-from crnoma.pathloss import ModelRangeWarning
 
 EXACT_SCENARIO = """
 label: exact
@@ -217,7 +216,8 @@ def test_optimize_csv_output(tmp_path):
 def test_pathloss_command(capsys):
     rc = main(["pathloss", "--d", "100", "--f", "5", "--omega", "0.5"])
     assert rc == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""
     assert "los_db: 85.979400" in out
     assert "nlos_db: 114.273220" in out
     assert "average_db: 100.126310" in out
@@ -258,12 +258,13 @@ def test_validate_is_reproducible(capsys):
 
 def test_validate_fails_on_uncalibrated_scenario(tmp_path, capsys):
     """Strong-gain scenario: optimization gains fall under the 50% floor."""
-    text = SYMMETRIC_SCENARIO.replace("hrc_gains = [1.0e-13]", "hrc_gains = [1.0e-9]")
-    text = text.replace("mrc_gains = [8.0e-14]", "mrc_gains = [8.0e-10]")
+    text = SYMMETRIC_SCENARIO.replace("hrc_gains: [1.0e-13]", "hrc_gains: [1.0e-9]")
+    text = text.replace("mrc_gains: [8.0e-14]", "mrc_gains: [8.0e-10]")
+    assert "hrc_gains: [1.0e-9]" in text and "mrc_gains: [8.0e-10]" in text
     scenario = write(tmp_path, "strong.yaml", text)
     rc = main(["validate", scenario, "--trials", "30"])
     assert rc == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert "FAIL  default_scenario_improvement_floor" in capsys.readouterr().out
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -425,6 +426,7 @@ def test_tiny_distance_gain_overflow_is_config_error(tmp_path, capsys, command):
 
 
 def test_pathloss_gain_overflow_is_usage_error(capsys):
-    with pytest.warns(ModelRangeWarning):
-        assert main(["pathloss", "--d", "1e-300", "--f", "5"]) == 2
-    assert "overflows as a power gain" in capsys.readouterr().err
+    assert main(["pathloss", "--d", "1e-300", "--f", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "note: distance 1e-300 m outside the model validity range (10.0, 2000.0) m\n" in err
+    assert "overflows as a power gain" in err

@@ -1,7 +1,5 @@
 """Link metrics: throughputs, EE, improvement percentage."""
 
-import warnings
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +11,6 @@ from crnoma import (
     PrimaryLink,
     RadioEnvironment,
     SensingProfile,
-    SicOrderingWarning,
     duty_factor,
     energy_efficiency,
     improvement_percent,
@@ -45,14 +42,12 @@ def sensing(p_inactive=1.0, p_active=1.0, p_false_alarm=0.0, p_detection=0.0):
 
 
 def pair(hrc_power=1e-3, mrc_power=1e-4, hrc_gain=1.0, mrc_gain=1.0):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SicOrderingWarning)
-        return DevicePair(
-            hrc_power_w=hrc_power,
-            mrc_power_w=mrc_power,
-            hrc_gain=hrc_gain,
-            mrc_gain=mrc_gain,
-        )
+    return DevicePair(
+        hrc_power_w=hrc_power,
+        mrc_power_w=mrc_power,
+        hrc_gain=hrc_gain,
+        mrc_gain=mrc_gain,
+    )
 
 
 def test_duty_factor():
@@ -179,12 +174,12 @@ def test_improvement_errors():
         improvement_percent(-1.0, 2.0)
 
 
-def test_sic_ordering_warning():
-    with pytest.warns(SicOrderingWarning):
-        DevicePair(hrc_power_w=0.1, mrc_power_w=0.3, hrc_gain=1.0, mrc_gain=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        DevicePair(hrc_power_w=0.7, mrc_power_w=0.3, hrc_gain=1.0, mrc_gain=1.0)
+def test_sic_ordering_ok():
+    assert not pair(hrc_power=0.1, mrc_power=0.3).sic_ordering_ok()
+    assert not pair(hrc_power=0.3, mrc_power=0.3).sic_ordering_ok()
+    assert pair(hrc_power=0.7, mrc_power=0.3).sic_ordering_ok()
+    # Received power, not transmit power, sets the order.
+    assert not pair(hrc_power=0.7, mrc_power=0.3, hrc_gain=0.1).sic_ordering_ok()
 
 
 def test_pair_validation_errors():

@@ -1,18 +1,17 @@
 """Pathloss model: LOS/NLOS formulas, weighted average, power gain."""
 
 import math
-import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
 from crnoma import (
-    ModelRangeWarning,
     pathloss_average_db,
     pathloss_los_db,
     pathloss_nlos_db,
     power_gain,
 )
+from crnoma.pathloss import range_notes
 
 # Hand evaluations of the printed formulas.
 LOS_100M_5GHZ = 85.97940008672037
@@ -22,21 +21,24 @@ LOS_1KM_2GHZ = 100.02059991327963
 NLOS_1KM_2GHZ = 140.62677988726352
 GAIN_AVG_100M_5GHZ = 9.713348929289155e-11
 
+DISTANCE_1M_NOTE = "distance 1.0 m outside the model validity range (10.0, 2000.0) m"
+CARRIER_1GHZ_NOTE = "carrier 1.0 GHz outside the model validity range (2.0, 6.0) GHz"
+
 in_range_d = st.floats(min_value=10.0, max_value=1900.0)
 in_range_f = st.floats(min_value=2.0, max_value=6.0)
 prob = st.floats(min_value=0.0, max_value=1.0)
 
 
 def test_los_values():
-    with pytest.warns(ModelRangeWarning):
-        assert pathloss_los_db(1.0, 1.0) == pytest.approx(28.0, abs=1e-12)
+    assert pathloss_los_db(1.0, 1.0) == pytest.approx(28.0, abs=1e-12)
+    assert range_notes(1.0, 1.0) == [DISTANCE_1M_NOTE, CARRIER_1GHZ_NOTE]
     assert pathloss_los_db(100.0, 5.0) == pytest.approx(LOS_100M_5GHZ, rel=1e-14)
     assert pathloss_los_db(1000.0, 2.0) == pytest.approx(LOS_1KM_2GHZ, rel=1e-14)
 
 
 def test_nlos_values():
-    with pytest.warns(ModelRangeWarning):
-        assert pathloss_nlos_db(1.0, 1.0) == pytest.approx(22.7, abs=1e-12)
+    assert pathloss_nlos_db(1.0, 1.0) == pytest.approx(22.7, abs=1e-12)
+    assert range_notes(1000.0, 2.0) == []
     assert pathloss_nlos_db(100.0, 5.0) == pytest.approx(NLOS_100M_5GHZ, rel=1e-14)
     assert pathloss_nlos_db(1000.0, 2.0) == pytest.approx(NLOS_1KM_2GHZ, rel=1e-14)
 
@@ -78,14 +80,17 @@ def test_invalid_inputs():
         power_gain(-5000.0)
 
 
-def test_out_of_range_warns_not_fails():
-    with pytest.warns(ModelRangeWarning):
-        pathloss_los_db(5.0, 5.0)
-    with pytest.warns(ModelRangeWarning):
-        pathloss_los_db(100.0, 7.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pathloss_los_db(100.0, 5.0)
+def test_out_of_range_notes_not_fails():
+    assert pathloss_los_db(5.0, 5.0) == pytest.approx(28.0 + 42.0 * math.log10(5.0), rel=1e-14)
+    assert range_notes(5.0, 5.0) == [
+        "distance 5.0 m outside the model validity range (10.0, 2000.0) m"
+    ]
+    assert range_notes(100.0, 7.0) == [
+        "carrier 7.0 GHz outside the model validity range (2.0, 6.0) GHz"
+    ]
+    # The range is closed at both ends.
+    for d, f in ((100.0, 5.0), (10.0, 2.0), (2000.0, 6.0)):
+        assert range_notes(d, f) == []
 
 
 @given(d=in_range_d, f=in_range_f)

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -14,7 +16,6 @@ from crnoma import (
     ConfigError,
     EFFECTUAL,
     INTERFERENCE,
-    SicOrderingWarning,
     dbm_to_watt,
     energy_efficiency,
     load_scenario,
@@ -224,6 +225,51 @@ def test_sic_violation_recorded_as_note():
     assert any("SIC" in note for note in scn.notes)
 
 
+def test_range_notes_appear_once_per_section():
+    text = (
+        MINIMAL.replace("carrier_ghz: 5.0", "carrier_ghz: 7.0")
+        .replace("hrc_gains: [1.0e-13]", "hrc_distances_m: [5.0, 2500.0, 5.0]")
+        .replace("mrc_gains: [8.0e-14]", "mrc_distances_m: [100.0, 100.0, 100.0]")
+    )
+    assert load_scenario(text).notes == (
+        "pathloss.los_probability defaulted to 0.5",
+        "devices.hrc: distance 5.0 m outside the model validity range (10.0, 2000.0) m",
+        "devices.hrc: carrier 7.0 GHz outside the model validity range (2.0, 6.0) GHz",
+        "devices.hrc: distance 2500.0 m outside the model validity range (10.0, 2000.0) m",
+        "devices.mrc: carrier 7.0 GHz outside the model validity range (2.0, 6.0) GHz",
+        "devices[pair]: received HRC power does not exceed the paired MRC power "
+        "(2.474e-15 W <= 1.344e-11 W); SIC ordering strained",
+    )
+
+
+def test_notes_are_exact_under_concurrent_sweeps():
+    """Loads racing optimized sweeps see their own notes and no filter edits."""
+    text = default_scenario_text().replace("[1200.0,", "[5000.0,")
+    scn = load_scenario(text)
+    assert len(scn.notes) == 2
+    filters = list(warnings.filters)
+    done = threading.Event()
+
+    def sweeps():
+        while not done.is_set():
+            run_sweep(scn, EFFECTUAL, "mrc", True, "cascaded")
+
+    # A short switch interval makes the threads interleave inside each call.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    worker = threading.Thread(target=sweeps)
+    worker.start()
+    try:
+        wrong = sum(load_scenario(text).notes != scn.notes for _ in range(200))
+    finally:
+        done.set()
+        worker.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert wrong == 0
+    assert list(warnings.filters) == filters
+
+
 def test_custom_grid_is_exact_progression():
     text = MINIMAL + "\nsweep:\n  start: 0.0\n  stop: 0.2\n  step: 0.05\n"
     scn = load_scenario(text)
@@ -333,18 +379,16 @@ def _reference_pairs(scn, state, device, optimized, coupling):
         return scn.pairs
     optima = optimize_scenario(scn, state, coupling)
     pairs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SicOrderingWarning)
-        for pair, hrc, mrc in zip(scn.pairs, optima.hrc, optima.mrc):
-            if device == "hrc":
-                pairs.append(replace(pair, hrc_power_w=hrc.power_w) if hrc.feasible else pair)
-            elif not mrc.feasible:
-                pairs.append(pair)
-            else:
-                hrc_power = pair.hrc_power_w
-                if coupling == "cascaded" and hrc.feasible:
-                    hrc_power = hrc.power_w
-                pairs.append(replace(pair, mrc_power_w=mrc.power_w, hrc_power_w=hrc_power))
+    for pair, hrc, mrc in zip(scn.pairs, optima.hrc, optima.mrc):
+        if device == "hrc":
+            pairs.append(replace(pair, hrc_power_w=hrc.power_w) if hrc.feasible else pair)
+        elif not mrc.feasible:
+            pairs.append(pair)
+        else:
+            hrc_power = pair.hrc_power_w
+            if coupling == "cascaded" and hrc.feasible:
+                hrc_power = hrc.power_w
+            pairs.append(replace(pair, mrc_power_w=mrc.power_w, hrc_power_w=hrc_power))
     return pairs
 
 
@@ -397,6 +441,12 @@ def test_sweep_counts_sic_violations(default_scenario):
     cascaded = run_sweep(default_scenario, INTERFERENCE, "mrc", True, "cascaded")
     assert cascaded.infeasible_pairs == tuple(range(n))
     assert cascaded.sic_violations == 0
+
+
+@pytest.mark.parametrize("optimized", [False, True])
+def test_sweep_rejects_unknown_coupling(default_scenario, optimized):
+    with pytest.raises(ValueError, match="coupling must be 'nominal' or 'cascaded', got 'bogus'"):
+        run_sweep(default_scenario, EFFECTUAL, "hrc", optimized, "bogus")
 
 
 def test_sweep_rejects_grid_value_outside_probability(default_scenario):
