@@ -45,6 +45,8 @@ EXIT_DOMAIN = 3
 SCENARIO_ENV_VAR = "CRNOMA_SCENARIO"
 
 _NUM_FMT = "{:.12e}"
+# One sweep CSV row: p_x, both throughputs, both EEs, improvement percent.
+_SWEEP_ROW = ",".join([_NUM_FMT] * 6).format
 
 
 def _load(scenario_path: Optional[str]) -> Scenario:
@@ -86,23 +88,18 @@ def _sweep_csv(
         "# improvement_basis: energy_efficiency",
         "p_x,throughput_bps_original,throughput_bps_optimized,ee_original,ee_optimized,improvement_pct",
     ]
-    for orig, opt in zip(original.points, optimized.points):
-        if opt.ee_bps_per_watt > 0.0:
-            gain = improvement_percent(orig.ee_bps_per_watt, opt.ee_bps_per_watt)
+    for p_x, tp_orig, tp_opt, ee_orig, ee_opt in zip(
+        original.p_x,
+        original.throughput_bps,
+        optimized.throughput_bps,
+        original.ee_bps_per_watt,
+        optimized.ee_bps_per_watt,
+    ):
+        if ee_opt > 0.0:
+            gain = improvement_percent(ee_orig, ee_opt)
         else:
             gain = math.nan
-        lines.append(
-            ",".join(
-                (
-                    _fmt(orig.p_x),
-                    _fmt(orig.throughput_bps),
-                    _fmt(opt.throughput_bps),
-                    _fmt(orig.ee_bps_per_watt),
-                    _fmt(opt.ee_bps_per_watt),
-                    _fmt(gain),
-                )
-            )
-        )
+        lines.append(_SWEEP_ROW(p_x, tp_orig, tp_opt, ee_orig, ee_opt, gain))
     return "\n".join(lines) + "\n"
 
 
@@ -115,7 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     text = _sweep_csv(scenario, original, optimized)
     if args.out:
         _atomic_write(args.out, text)
-        print(f"wrote {len(original.points)} rows to {args.out}")
+        print(f"wrote {len(original.p_x)} rows to {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

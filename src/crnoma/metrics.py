@@ -275,12 +275,17 @@ def energy_efficiency(
     """Throughput over total consumed power (transmit + circuit + sensing)."""
     if throughput_bps < 0.0:
         raise ValueError(f"throughput_bps must be >= 0, got {throughput_bps!r}")
+    return throughput_bps / _consumed_power_w(tx_power_w, overheads)
+
+
+def _consumed_power_w(tx_power_w: float, overheads: PowerOverheads) -> float:
+    """The energy-efficiency denominator tx + circuit + sensing, checked."""
     if not math.isfinite(tx_power_w) or tx_power_w < 0.0:
         raise ValueError(f"tx_power_w must be >= 0, got {tx_power_w!r}")
     total = tx_power_w + overheads.total_w
     if total <= 0.0:
         raise ValueError("total consumed power must be > 0")
-    return throughput_bps / total
+    return total
 
 
 def improvement_percent(original: float, optimized: float) -> float:

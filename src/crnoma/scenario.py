@@ -28,10 +28,11 @@ from .metrics import (
     PrimaryLink,
     RadioEnvironment,
     SensingProfile,
+    _check_probability,
+    _consumed_power_w,
     _detection_term,
     _pair_rates,
     duty_factor,
-    energy_efficiency,
 )
 from .optimizer import _check_coupling, _coupled_hrc_powers, optimize_scenario
 from .pathloss import DEFAULT_LOS_PROBABILITY, pathloss_average_db, power_gain, range_notes
@@ -54,8 +55,8 @@ UNIT_MODES = ("watt", "dbm")
 # (e.g. 100 * 0.01 slightly exceeding 1.0) cannot break probability bounds.
 _GRID_DECIMALS = 12
 
-# Largest p_x grid a scenario may ask for. Every grid point becomes one
-# MetricPoint per series, so this bounds a series at a few hundred MiB.
+# Largest p_x grid a scenario may ask for. A series adds two float columns
+# to the grid, about 64 bytes per point, so this bounds one near 61 MiB.
 _MAX_GRID_POINTS = 1_000_000
 
 # The keys each table may hold ("" is the top level); any other key is a
@@ -100,6 +101,10 @@ class Scenario:
     label: str = "unnamed"
     notes: Tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        for p_x in self.sweep_grid:
+            _check_probability("p_x", p_x)
+
     def content_hash(self) -> str:
         """Stable hash of every field except ``notes``, each through its repr.
 
@@ -123,15 +128,39 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSeries:
-    """One (state, device, optimized) data series over the p_x grid."""
+    """One (state, device, optimized) data series over the p_x grid, as columns.
+
+    ``throughput_bps[i]`` and ``ee_bps_per_watt[i]`` are the per-pair means
+    at ``p_x[i]``; the mean transmit power ``tx_power_w`` is one value for
+    the whole series.
+    """
 
     state: str
     device: str
     optimized: bool
     coupling: str
-    points: Tuple[MetricPoint, ...]
+    p_x: Tuple[float, ...]
+    throughput_bps: Tuple[float, ...]
+    ee_bps_per_watt: Tuple[float, ...]
+    tx_power_w: float
     infeasible_pairs: Tuple[int, ...] = ()
     sic_violations: int = 0
+
+    @property
+    def points(self) -> Tuple[MetricPoint, ...]:
+        """The series as validated ``MetricPoint`` records, built on each access."""
+        return tuple(
+            MetricPoint(
+                p_x=p_x,
+                state=self.state,
+                device=self.device,
+                throughput_bps=throughput,
+                ee_bps_per_watt=ee,
+                tx_power_w=self.tx_power_w,
+                optimized=self.optimized,
+            )
+            for p_x, throughput, ee in zip(self.p_x, self.throughput_bps, self.ee_bps_per_watt)
+        )
 
 
 def _reject_unknown_keys(table: Mapping, section: str) -> None:
@@ -404,9 +433,6 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         _number(sweep_t, "sweep", "stop", 1.0),
         _number(sweep_t, "sweep", "step", 0.01),
     )
-    for p in grid:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError("sweep", f"grid value {p!r} is not a probability")
 
     # After the sections, so that a misspelt required section reads as missing.
     _reject_unknown_keys(doc, "")
@@ -418,19 +444,23 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         elif not isinstance(label, str):
             raise ConfigError("label", f"must be a string, got {label!r}")
 
-    return Scenario(
-        env=env,
-        sensing=sensing,
-        pairs=tuple(pairs),
-        primary=primary,
-        overheads=overheads,
-        los_probability=los_probability,
-        sweep_grid=grid,
-        unit_mode=unit_mode,
-        pathloss_combine=combine,
-        label=label,
-        notes=tuple(notes),
-    )
+    try:
+        return Scenario(
+            env=env,
+            sensing=sensing,
+            pairs=tuple(pairs),
+            primary=primary,
+            overheads=overheads,
+            los_probability=los_probability,
+            sweep_grid=grid,
+            unit_mode=unit_mode,
+            pathloss_combine=combine,
+            label=label,
+            notes=tuple(notes),
+        )
+    except ValueError as exc:
+        # Scenario checks only the grid; the other fields are checked above.
+        raise ConfigError("sweep", str(exc)) from None
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -469,7 +499,8 @@ def run_sweep(
 
     Throughput is linear in p_x, so each pair's Shannon rate is computed
     once per series; every grid point then costs O(1) work per pair (one
-    scaling and one addition) plus the point's own record.
+    scaling and one addition). The series is stored as columns, so no
+    per-point record is built.
     """
     if state not in STATES:
         raise ValueError(f"state must be one of {STATES}, got {state!r}")
@@ -511,6 +542,8 @@ def run_sweep(
     for p in pairs:
         tx_total += p.hrc_power_w if device == HRC else p.mrc_power_w
     mean_tx = tx_total / n
+    # energy_efficiency's checks on the transmit power, once per series.
+    consumed = _consumed_power_w(mean_tx, scenario.overheads)
 
     sensing = scenario.sensing
     primary = scenario.primary if state == INTERFERENCE else None
@@ -518,39 +551,31 @@ def run_sweep(
     duty = duty_factor(sensing)
     miss = _detection_term(sensing, state)
     bandwidth = scenario.env.bandwidth_hz
-    overheads = scenario.overheads
 
-    points = []
-    try:
-        for p_x in scenario.sweep_grid:
-            # ((duty * p_x) * miss) * b * rate, summed in pair order: the
-            # operation order of ``throughput`` on one pair, so every value
-            # is bit-identical to evaluating it per pair and point.
-            pb = duty * p_x * miss * bandwidth
-            total = 0.0
-            for r in rates:
-                total += pb * r
-            mean = total / n
-            points.append(
-                MetricPoint(
-                    p_x=p_x,
-                    state=state,
-                    device=device,
-                    throughput_bps=mean,
-                    ee_bps_per_watt=energy_efficiency(mean, mean_tx, overheads),
-                    tx_power_w=mean_tx,
-                    optimized=optimized,
-                )
-            )
-    except ValueError as exc:
-        raise ValueError(f"at grid point p_x={p_x}: {exc}") from exc
+    # energy_efficiency's check that throughput is >= 0 holds by
+    # construction: duty lies in (0, 1], p_x (checked by Scenario) and miss
+    # in [0, 1], bandwidth is > 0, and each rate is log2(1 + S / D) with
+    # S >= 0 and D > 0, so no product, sum or mean below is negative.
+    throughputs = []
+    for p_x in scenario.sweep_grid:
+        # ((duty * p_x) * miss) * b * rate, summed in pair order: the
+        # operation order of ``throughput`` on one pair, so every value
+        # is bit-identical to evaluating it per pair and point.
+        pb = duty * p_x * miss * bandwidth
+        total = 0.0
+        for r in rates:
+            total += pb * r
+        throughputs.append(total / n)
 
     return SweepSeries(
         state=state,
         device=device,
         optimized=optimized,
         coupling=coupling,
-        points=tuple(points),
+        p_x=scenario.sweep_grid,
+        throughput_bps=tuple(throughputs),
+        ee_bps_per_watt=tuple([mean / consumed for mean in throughputs]),
+        tx_power_w=mean_tx,
         infeasible_pairs=tuple(infeasible),
         sic_violations=sic_violations,
     )

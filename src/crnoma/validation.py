@@ -246,18 +246,18 @@ def _check_default_shape(scenario: Scenario) -> List[CheckResult]:
 
     worst = 0.0
     for s in series.values():
-        worst = max(worst, abs(s.points[0].throughput_bps), abs(s.points[0].ee_bps_per_watt))
+        worst = max(worst, abs(s.throughput_bps[0]), abs(s.ee_bps_per_watt[0]))
     out.append(CheckResult("sweep_origin_passthrough", worst == 0.0, worst, 0.0))
 
     min_gain = math.inf
     for state in (EFFECTUAL, INTERFERENCE):
         for device in DEVICES:
-            original = series[(state, device, False)].points[-1]
-            optimized = series[(state, device, True)].points[-1]
+            original = series[(state, device, False)]
+            optimized = series[(state, device, True)]
             min_gain = min(
                 min_gain,
-                improvement_percent(original.ee_bps_per_watt, optimized.ee_bps_per_watt),
-                improvement_percent(original.throughput_bps, optimized.throughput_bps),
+                improvement_percent(original.ee_bps_per_watt[-1], optimized.ee_bps_per_watt[-1]),
+                improvement_percent(original.throughput_bps[-1], optimized.throughput_bps[-1]),
             )
     out.append(
         CheckResult(
@@ -272,14 +272,14 @@ def _check_default_shape(scenario: Scenario) -> List[CheckResult]:
     ordering_ok = True
     for device in DEVICES:
         for optimized in (False, True):
-            eff = series[(EFFECTUAL, device, optimized)].points[-1]
-            intf = series[(INTERFERENCE, device, optimized)].points[-1]
-            ordering_ok &= eff.throughput_bps > intf.throughput_bps
+            eff = series[(EFFECTUAL, device, optimized)].throughput_bps[-1]
+            intf = series[(INTERFERENCE, device, optimized)].throughput_bps[-1]
+            ordering_ok &= eff > intf
     for state in (EFFECTUAL, INTERFERENCE):
         for optimized in (False, True):
-            hrc = series[(state, "hrc", optimized)].points[-1]
-            mrc = series[(state, "mrc", optimized)].points[-1]
-            ordering_ok &= hrc.throughput_bps > mrc.throughput_bps
+            hrc = series[(state, "hrc", optimized)].throughput_bps[-1]
+            mrc = series[(state, "mrc", optimized)].throughput_bps[-1]
+            ordering_ok &= hrc > mrc
     out.append(
         CheckResult(
             "default_scenario_series_ordering",

@@ -1,10 +1,16 @@
 """Command-line behavior: CSV output, exit codes, determinism, atomicity."""
 
+import contextlib
+import copy
+import hashlib
+import io
 import math
 import os
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import crnoma.scenario
 from crnoma.cli import main
@@ -169,6 +175,39 @@ def test_sweep_to_stdout(capsys):
     captured = capsys.readouterr().out
     assert "p_x,throughput_bps_original" in captured
     assert len(data_rows(captured)) == 102  # header + 101 rows
+
+
+# sha256 of the stdout bytes on the bundled scenario. A change that alters
+# any output byte must say so and update these digests.
+GOLDEN_SWEEP_SHA256 = {
+    ("effectual", "hrc", "nominal"): "edc5600b173286a3a3ba795037299241c429850dcff5db646b5502222bfff12f",
+    ("effectual", "hrc", "cascaded"): "22e7c28e6b0e4cbc67a9842ecb822a97e8065a890d835879744e768e18856f75",
+    ("effectual", "mrc", "nominal"): "b7c4098191d564d695323b1b5a10870784c9339bcc7846ed2b6255586dc8f889",
+    ("effectual", "mrc", "cascaded"): "8382b8f2b5beab7bb1b081c888106704a84c8d8a6241af2d94614f98fd80f54e",
+    ("interference", "hrc", "nominal"): "571d4e858d646eb585058e81f8a042922f5a7a254abafe57b6a758b4ddea1646",
+    ("interference", "hrc", "cascaded"): "33fd18303a91b952376ab9a41871d06c0541576481d8c83ca77680601a913dfe",
+    ("interference", "mrc", "nominal"): "1876e11f935a332cf4ab409d83168d140752e94853089f2ad1a6658866f2ab78",
+    ("interference", "mrc", "cascaded"): "6da36d52840088a3f94a0221c9dbbd4680aa47036537cbf69933c76b760bf624",
+}
+GOLDEN_VALIDATE_SHA256 = "a5069a07c8439b624c60e7730742f9fbb6e63d2ea5a6669637d2a3841983e28f"
+
+
+def _stdout_sha256(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("state, device, coupling", list(GOLDEN_SWEEP_SHA256))
+def test_sweep_bytes_are_golden(capsys, monkeypatch, state, device, coupling):
+    monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
+    argv = ["sweep", "--state", state, "--device", device, "--coupling", coupling]
+    assert _stdout_sha256(capsys, argv) == GOLDEN_SWEEP_SHA256[(state, device, coupling)]
+
+
+def test_validate_bytes_are_golden(capsys, monkeypatch):
+    monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
+    argv = ["validate", "--trials", "1000", "--seed", "0"]
+    assert _stdout_sha256(capsys, argv) == GOLDEN_VALIDATE_SHA256
 
 
 def test_optimize_exact_power(tmp_path, capsys):
@@ -430,3 +469,67 @@ def test_pathloss_gain_overflow_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "note: distance 1e-300 m outside the model validity range (10.0, 2000.0) m\n" in err
     assert "overflows as a power gain" in err
+
+
+def _yaml_paths(node, prefix=()):
+    """Every key and list index of a parsed YAML document, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _yaml_paths(value, prefix + (key,))
+
+
+DEFAULT_DOC = yaml.safe_load(crnoma.scenario.default_scenario_text())
+DEFAULT_PATHS = list(_yaml_paths(DEFAULT_DOC))
+MUTATIONS = st.sampled_from(["delete", "rename"]) | st.sampled_from(
+    ["text", [1.0, "x"], math.nan, math.inf, -math.inf, 1e308]
+).map(lambda value: ("set", value))
+
+
+def _has(node, key):
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+def _mutate(doc, path, mutation):
+    parent = doc
+    for key in path[:-1]:
+        if not _has(parent, key):
+            return  # an earlier edit removed or replaced this path
+        parent = parent[key]
+    key = path[-1]
+    if not _has(parent, key):
+        return
+    if mutation == "delete":
+        del parent[key]
+    elif mutation == "rename":
+        if isinstance(parent, dict):
+            parent[f"{key}_renamed"] = parent.pop(key)
+    else:
+        parent[key] = mutation[1]
+
+
+@settings(max_examples=150)
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(DEFAULT_PATHS), MUTATIONS), min_size=1, max_size=3),
+    state=st.sampled_from(["effectual", "interference"]),
+    device=st.sampled_from(["hrc", "mrc"]),
+    coupling=st.sampled_from(["nominal", "cascaded"]),
+)
+def test_mutated_default_yaml_ends_in_a_documented_exit_code(edits, state, device, coupling):
+    doc = copy.deepcopy(DEFAULT_DOC)
+    for path, mutation in edits:
+        _mutate(doc, path, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh)
+        argv = ["sweep", path, "--state", state, "--device", device, "--coupling", coupling]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3)

@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -16,6 +16,7 @@ from crnoma import (
     ConfigError,
     EFFECTUAL,
     INTERFERENCE,
+    MetricPoint,
     dbm_to_watt,
     energy_efficiency,
     load_scenario,
@@ -290,6 +291,14 @@ def test_bad_sweep_step_rejected():
     assert "sweep.step" in str(err.value)
 
 
+def test_grid_outside_probability_is_config_error():
+    text = MINIMAL + "\nsweep:\n  start: 0.0\n  stop: 1.5\n  step: 0.5\n"
+    with pytest.raises(ConfigError) as err:
+        load_scenario(text)
+    assert err.value.field == "sweep"
+    assert "p_x must be a probability in [0, 1], got 1.5" in str(err.value)
+
+
 def test_default_scenario_text_round_trips(default_scenario):
     assert load_scenario(default_scenario_text()) == default_scenario
 
@@ -422,10 +431,31 @@ def test_sweep_is_bit_identical_to_per_pair_path(
     series = run_sweep(scn, state, device, optimized, coupling)
     pairs = _reference_pairs(scn, state, device, optimized, coupling)
     expected = list(_reference_points(scn, state, device, pairs))
+    assert series.p_x == scn.sweep_grid
+    assert series.throughput_bps == tuple(mean for mean, _ in expected)
+    assert series.ee_bps_per_watt == tuple(ee for _, ee in expected)
     assert len(series.points) == len(expected) == len(scn.sweep_grid)
     for point, (mean, ee) in zip(series.points, expected):
         assert point.throughput_bps == mean
         assert point.ee_bps_per_watt == ee
+
+
+@pytest.mark.parametrize("state, device, optimized, coupling", SERIES)
+def test_points_view_rebuilds_metric_points_from_columns(
+    default_scenario, state, device, optimized, coupling
+):
+    series = run_sweep(default_scenario, state, device, optimized, coupling)
+    points = series.points
+    assert len(points) == len(series.p_x)
+    for point, p_x, mean, ee in zip(
+        points, series.p_x, series.throughput_bps, series.ee_bps_per_watt
+    ):
+        expected = MetricPoint(p_x, state, device, mean, ee, series.tx_power_w, optimized)
+        for field in fields(MetricPoint):
+            assert repr(getattr(point, field.name)) == repr(getattr(expected, field.name))
+    # A view, not a cache: each access builds a new, equal tuple.
+    again = series.points
+    assert again == points and again is not points
 
 
 def test_sweep_counts_sic_violations(default_scenario):
@@ -449,10 +479,12 @@ def test_sweep_rejects_unknown_coupling(default_scenario, optimized):
         run_sweep(default_scenario, EFFECTUAL, "hrc", optimized, "bogus")
 
 
-def test_sweep_rejects_grid_value_outside_probability(default_scenario):
-    scn = replace(default_scenario, sweep_grid=(0.0, 0.5, 1.5))
-    with pytest.raises(ValueError, match="p_x=1.5"):
-        run_sweep(scn, EFFECTUAL, "hrc", optimized=False)
+def test_scenario_rejects_grid_value_outside_probability(default_scenario):
+    # Checked when the Scenario is built, so no sweep can see such a grid.
+    for bad in (1.5, math.nan):
+        message = rf"p_x must be a probability in \[0, 1\], got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            replace(default_scenario, sweep_grid=(0.0, 0.5, bad))
 
 
 def test_content_hash_tracks_content(default_scenario):
