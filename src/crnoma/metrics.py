@@ -104,16 +104,14 @@ class RadioEnvironment:
 class DevicePair:
     """One HRC + one MRC device sharing a subcarrier.
 
-    Gains are linear power ratios; the optional distances record where a
-    gain came from when it was derived through the pathloss model.
+    Gains are linear power ratios, given directly or resolved from
+    distances by the scenario loader; the distances are not kept.
     """
 
     hrc_power_w: float
     mrc_power_w: float
     hrc_gain: float
     mrc_gain: float
-    hrc_distance_m: Optional[float] = None
-    mrc_distance_m: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("hrc_power_w", "mrc_power_w"):
@@ -227,8 +225,8 @@ def _pair_rates(
     """Per-pair spectral efficiency log2(1 + S / D) of one device class.
 
     D is the base denominator (``_base_denominator_w``), plus the paired
-    HRC's received power for an MRC device.  This is the only place the
-    link-budget denominator is written out.
+    HRC's received power for an MRC device.  ``optimizer.optimize_scenario``
+    writes the same MRC denominator for the optimum's own link.
     """
     base = _base_denominator_w(env, primary)
     if device == HRC:

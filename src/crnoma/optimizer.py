@@ -106,8 +106,8 @@ def _kappa_b(
     if sensing is None or env is None:
         return 1.0
     p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
-    kappa = p_state * _detection_term(sensing, state)
-    return duty_factor(sensing) * kappa * env.bandwidth_hz
+    # Left to right, as ``throughput`` rounds it, so both give the same bits.
+    return duty_factor(sensing) * p_state * _detection_term(sensing, state) * env.bandwidth_hz
 
 
 def ee_of_power(
@@ -260,8 +260,6 @@ def numerical_argmax(
 class ScenarioOptima:
     """Per-pair closed-form optima for both device classes in one state."""
 
-    state: str
-    coupling: str
     hrc: Tuple[OptResult, ...]
     mrc: Tuple[OptResult, ...]
 
@@ -306,4 +304,4 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
         if not 0.0 < mrc_denom < math.inf:
             raise ValueError(f"denom_power_w must be > 0, got {mrc_denom!r}")
         mrc.append(_closed_form(pair.mrc_gain, mrc_denom, overhead, kappa_b, lambert_w0))
-    return ScenarioOptima(state=state, coupling=coupling, hrc=hrc, mrc=tuple(mrc))
+    return ScenarioOptima(hrc=hrc, mrc=tuple(mrc))

@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple, TypeVar
 
 import yaml
 
@@ -76,6 +76,8 @@ _KEYS = {
 # and Resolver as SafeLoader, so the same document, parsed about 10x faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+T = TypeVar("T")
+
 
 class ConfigError(ValueError):
     """Scenario configuration problem, carrying the offending field name."""
@@ -83,6 +85,14 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def _named(field: str, build: Callable[..., T], *args, **kwargs) -> T:
+    """Call ``build``; any ValueError it raises, even a ConfigError, is renamed ``field``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -94,22 +104,24 @@ class Scenario:
     pairs: Tuple[DevicePair, ...]
     primary: PrimaryLink
     overheads: PowerOverheads
-    los_probability: float
     sweep_grid: Tuple[float, ...]
     unit_mode: str = "watt"
-    pathloss_combine: str = "db"
     label: str = "unnamed"
     notes: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # Named as the YAML names them, so the loader raises these unwrapped.
+        if not isinstance(self.label, str):
+            raise ConfigError("label", f"must be a string, got {self.label!r}")
         for p_x in self.sweep_grid:
-            _check_probability("p_x", p_x)
+            if not 0.0 <= p_x <= 1.0:  # NaN too; only a bad value pays for the call
+                _named("sweep", _check_probability, "p_x", p_x)
 
     def content_hash(self) -> str:
         """Stable hash of every field except ``notes``, each through its repr.
 
-        Adding or removing a field of a component (``PrimaryLink``, ...)
-        changes its repr, and with it the hash.
+        Distances and pathloss weights count only through the gains they
+        resolve to; a component's repr, and so the hash, tracks its fields.
         """
         parts = [
             repr(self.env),
@@ -117,10 +129,8 @@ class Scenario:
             repr(self.pairs),
             repr(self.primary),
             repr(self.overheads),
-            repr(self.los_probability),
             repr(self.sweep_grid),
             self.unit_mode,
-            self.pathloss_combine,
             self.label,
         ]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
@@ -216,10 +226,7 @@ def _power_w(table: Mapping, section: str, key: str, unit_mode: str) -> float:
     raw = _number(table, section, key)
     if unit_mode == "watt":
         return raw
-    try:
-        return dbm_to_watt(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", str(exc)) from None
+    return _named(f"{section}.{key}", dbm_to_watt, raw)
 
 
 def _build_grid(start: float, stop: float, step: float) -> Tuple[float, ...]:
@@ -248,8 +255,8 @@ def _resolve_gains(
     los_probability: float,
     combine: str,
     notes: list,
-) -> Tuple[Tuple[float, ...], Optional[Tuple[float, ...]]]:
-    """Return (gains, distances-or-None) from exactly one of the two inputs."""
+) -> Tuple[float, ...]:
+    """The section's gains, given directly or resolved from distances (not both)."""
     if gains is not None and distances is not None:
         raise ConfigError(
             section, "give either explicit gains or distances, not both (ambiguous)"
@@ -260,24 +267,22 @@ def _resolve_gains(
         for i, g in enumerate(gains):
             if g <= 0.0 or not math.isfinite(g):
                 raise ConfigError(f"{section}[{i}]", f"gain must be > 0, got {g!r}")
-        return gains, None
-    resolved = []
-    for i, d in enumerate(distances):
-        try:
-            gain = power_gain(pathloss_average_db(d, carrier_ghz, los_probability, combine))
-        except ValueError as exc:
-            raise ConfigError(f"{section}[{i}]", str(exc)) from None
-        resolved.append(gain)
+        return gains
+
+    def gain_at(distance_m: float) -> float:
+        return power_gain(pathloss_average_db(distance_m, carrier_ghz, los_probability, combine))
+
+    resolved = tuple(_named(f"{section}[{i}]", gain_at, d) for i, d in enumerate(distances))
     # Each distinct range note once per section, in first-seen order.
     notes.extend(
         dict.fromkeys(
             f"{section}: {note}" for d in distances for note in range_notes(d, carrier_ghz)
         )
     )
-    return tuple(resolved), distances
+    return resolved
 
 
-def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
+def load_scenario(text: str) -> Scenario:
     """Parse and validate a YAML scenario document."""
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
@@ -292,21 +297,15 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         raise ConfigError("unit_mode", f"must be one of {UNIT_MODES}, got {unit_mode!r}")
 
     env_t = _section(doc, "env")
-    try:
-        env = RadioEnvironment(
-            bandwidth_hz=_number(env_t, "env", "bandwidth_hz"),
-            noise_psd_dbm_hz=_number(env_t, "env", "noise_psd_dbm_hz"),
-            carrier_ghz=_number(env_t, "env", "carrier_ghz"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("env", str(exc)) from None
+    env = _named(
+        "env",
+        RadioEnvironment,
+        bandwidth_hz=_number(env_t, "env", "bandwidth_hz"),
+        noise_psd_dbm_hz=_number(env_t, "env", "noise_psd_dbm_hz"),
+        carrier_ghz=_number(env_t, "env", "carrier_ghz"),
+    )
     # The noise power sits in every SINR denominator.
-    try:
-        noise_w = env.noise_w()
-    except ValueError as exc:
-        raise ConfigError("env.noise_psd_dbm_hz", str(exc)) from None
+    noise_w = _named("env.noise_psd_dbm_hz", env.noise_w)
     if not 0.0 < noise_w < math.inf:
         raise ConfigError(
             "env.noise_psd_dbm_hz",
@@ -314,25 +313,23 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         )
 
     sens_t = _section(doc, "sensing")
-    try:
-        sensing = SensingProfile(
-            t_transmit_s=_number(sens_t, "sensing", "transmit_time_s"),
-            t_sense_s=_number(sens_t, "sensing", "sense_time_s"),
-            p_inactive=_number(sens_t, "sensing", "p_inactive", 0.5),
-            p_active=_number(sens_t, "sensing", "p_active", 0.5),
-            p_false_alarm=_number(sens_t, "sensing", "p_false_alarm"),
-            p_detection=_number(sens_t, "sensing", "p_detection"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("sensing", str(exc)) from None
+    sensing = _named(
+        "sensing",
+        SensingProfile,
+        t_transmit_s=_number(sens_t, "sensing", "transmit_time_s"),
+        t_sense_s=_number(sens_t, "sensing", "sense_time_s"),
+        p_inactive=_number(sens_t, "sensing", "p_inactive", 0.5),
+        p_active=_number(sens_t, "sensing", "p_active", 0.5),
+        p_false_alarm=_number(sens_t, "sensing", "p_false_alarm"),
+        p_detection=_number(sens_t, "sensing", "p_detection"),
+    )
     if not sensing.meets_regulatory_sensing():
         notes.append(
             "sensing: p_detection/p_false_alarm outside the regulatory "
             "envelope (p_d >= 0.9, p_f <= 0.1)"
         )
 
+    # The LOS weight and combine rule only turn distances into gains.
     pl_t = _section(doc, "pathloss", optional=True)
     if "los_probability" in pl_t:
         los_probability = _number(pl_t, "pathloss", "los_probability")
@@ -350,7 +347,7 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
     dev_t = _section(doc, "devices")
     hrc_power = _power_w(dev_t, "devices", "hrc_power", unit_mode)
     mrc_power = _power_w(dev_t, "devices", "mrc_power", unit_mode)
-    hrc_gains, hrc_distances = _resolve_gains(
+    hrc_gains = _resolve_gains(
         "devices.hrc",
         _number_list(dev_t, "devices", "hrc_gains"),
         _number_list(dev_t, "devices", "hrc_distances_m"),
@@ -359,7 +356,7 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         combine,
         notes,
     )
-    mrc_gains, mrc_distances = _resolve_gains(
+    mrc_gains = _resolve_gains(
         "devices.mrc",
         _number_list(dev_t, "devices", "mrc_gains"),
         _number_list(dev_t, "devices", "mrc_distances_m"),
@@ -376,18 +373,15 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
         )
 
     pairs = []
-    for i in range(len(hrc_gains)):
-        try:
-            pair = DevicePair(
-                hrc_power_w=hrc_power,
-                mrc_power_w=mrc_power,
-                hrc_gain=hrc_gains[i],
-                mrc_gain=mrc_gains[i],
-                hrc_distance_m=hrc_distances[i] if hrc_distances else None,
-                mrc_distance_m=mrc_distances[i] if mrc_distances else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"devices[{i}]", str(exc)) from None
+    for i, (hrc_gain, mrc_gain) in enumerate(zip(hrc_gains, mrc_gains)):
+        pair = _named(
+            f"devices[{i}]",
+            DevicePair,
+            hrc_power_w=hrc_power,
+            mrc_power_w=mrc_power,
+            hrc_gain=hrc_gain,
+            mrc_gain=mrc_gain,
+        )
         pairs.append(pair)
         if not pair.sic_ordering_ok():
             notes.append(
@@ -397,35 +391,25 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
             )
 
     prim_t = _section(doc, "primary")
-    prim_gain = None
-    if "gain" in prim_t:
-        prim_gain = (_number(prim_t, "primary", "gain"),)
-    dist = None
-    if "distance_m" in prim_t:
-        dist = (_number(prim_t, "primary", "distance_m"),)
-    gains, _ = _resolve_gains(
+    prim_gain = (_number(prim_t, "primary", "gain"),) if "gain" in prim_t else None
+    dist = (_number(prim_t, "primary", "distance_m"),) if "distance_m" in prim_t else None
+    (gain,) = _resolve_gains(
         "primary", prim_gain, dist, env.carrier_ghz, los_probability, combine, notes
     )
-    try:
-        primary = PrimaryLink(
-            power_w=_power_w(prim_t, "primary", "power", unit_mode),
-            gain=gains[0],
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("primary", str(exc)) from None
+    primary = _named(
+        "primary",
+        PrimaryLink,
+        power_w=_power_w(prim_t, "primary", "power", unit_mode),
+        gain=gain,
+    )
 
     over_t = _section(doc, "overheads")
-    try:
-        overheads = PowerOverheads(
-            circuit_w=_power_w(over_t, "overheads", "circuit_power", unit_mode),
-            sensing_w=_power_w(over_t, "overheads", "sensing_power", unit_mode),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("overheads", str(exc)) from None
+    overheads = _named(
+        "overheads",
+        PowerOverheads,
+        circuit_w=_power_w(over_t, "overheads", "circuit_power", unit_mode),
+        sensing_w=_power_w(over_t, "overheads", "sensing_power", unit_mode),
+    )
 
     sweep_t = _section(doc, "sweep", optional=True)
     grid = _build_grid(
@@ -437,30 +421,19 @@ def load_scenario(text: str, label: Optional[str] = None) -> Scenario:
     # After the sections, so that a misspelt required section reads as missing.
     _reject_unknown_keys(doc, "")
 
-    if not label:
-        label = doc.get("label")
-        if label is None:
-            label = "unnamed"
-        elif not isinstance(label, str):
-            raise ConfigError("label", f"must be a string, got {label!r}")
-
-    try:
-        return Scenario(
-            env=env,
-            sensing=sensing,
-            pairs=tuple(pairs),
-            primary=primary,
-            overheads=overheads,
-            los_probability=los_probability,
-            sweep_grid=grid,
-            unit_mode=unit_mode,
-            pathloss_combine=combine,
-            label=label,
-            notes=tuple(notes),
-        )
-    except ValueError as exc:
-        # Scenario checks only the grid; the other fields are checked above.
-        raise ConfigError("sweep", str(exc)) from None
+    label = doc.get("label")
+    # Scenario checks the label and the grid, each as a named ConfigError.
+    return Scenario(
+        env=env,
+        sensing=sensing,
+        pairs=tuple(pairs),
+        primary=primary,
+        overheads=overheads,
+        sweep_grid=grid,
+        unit_mode=unit_mode,
+        label="unnamed" if label is None else label,
+        notes=tuple(notes),
+    )
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -541,6 +514,9 @@ def run_sweep(
     tx_total = 0.0
     for p in pairs:
         tx_total += p.hrc_power_w if device == HRC else p.mrc_power_w
+    # Each power is finite, so only their sum can reach inf.
+    if tx_total == math.inf:
+        raise ValueError(f"sum of the {n} pairs' {device} transmit powers overflows to inf")
     mean_tx = tx_total / n
     # energy_efficiency's checks on the transmit power, once per series.
     consumed = _consumed_power_w(mean_tx, scenario.overheads)

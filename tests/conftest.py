@@ -64,7 +64,6 @@ def make_scenario(
         pairs=pairs,
         primary=PrimaryLink(power_w=primary_power_w, gain=primary_gain),
         overheads=PowerOverheads(circuit_w=circuit_w, sensing_w=sensing_w),
-        los_probability=0.5,
         sweep_grid=tuple(grid),
         label="synthetic",
     )

@@ -180,14 +180,14 @@ def test_sweep_to_stdout(capsys):
 # sha256 of the stdout bytes on the bundled scenario. A change that alters
 # any output byte must say so and update these digests.
 GOLDEN_SWEEP_SHA256 = {
-    ("effectual", "hrc", "nominal"): "edc5600b173286a3a3ba795037299241c429850dcff5db646b5502222bfff12f",
-    ("effectual", "hrc", "cascaded"): "22e7c28e6b0e4cbc67a9842ecb822a97e8065a890d835879744e768e18856f75",
-    ("effectual", "mrc", "nominal"): "b7c4098191d564d695323b1b5a10870784c9339bcc7846ed2b6255586dc8f889",
-    ("effectual", "mrc", "cascaded"): "8382b8f2b5beab7bb1b081c888106704a84c8d8a6241af2d94614f98fd80f54e",
-    ("interference", "hrc", "nominal"): "571d4e858d646eb585058e81f8a042922f5a7a254abafe57b6a758b4ddea1646",
-    ("interference", "hrc", "cascaded"): "33fd18303a91b952376ab9a41871d06c0541576481d8c83ca77680601a913dfe",
-    ("interference", "mrc", "nominal"): "1876e11f935a332cf4ab409d83168d140752e94853089f2ad1a6658866f2ab78",
-    ("interference", "mrc", "cascaded"): "6da36d52840088a3f94a0221c9dbbd4680aa47036537cbf69933c76b760bf624",
+    ("effectual", "hrc", "nominal"): "924df1a753b122ecbf92769caa8bbe8c4b9edfb0219d2ab86314f657d7996b0f",
+    ("effectual", "hrc", "cascaded"): "0a9538bbc920faa86777bf78e50cb70b010f273cbe87f023e463758fac0a788f",
+    ("effectual", "mrc", "nominal"): "ca8b2f48f4f000f4cd2f6b041abb5a3d971efd19e6fca5f7971f40a1cde96852",
+    ("effectual", "mrc", "cascaded"): "af8780e992327400b26cd9db5e63f209d89706c720b3abb1d415c14785f2a93d",
+    ("interference", "hrc", "nominal"): "605a92e5ec0503ca0624fcc8e55cb56f5f8260a1890719c9744c86ecd9979a0d",
+    ("interference", "hrc", "cascaded"): "73c263ab118f85420dd36114202a65f09197a865a89a3e57005b172ba2250cef",
+    ("interference", "mrc", "nominal"): "eab10a08a2380ce0d91b7276d8111a7be5e3ac83076bcf41cc6676a8efd64239",
+    ("interference", "mrc", "cascaded"): "0038e4c63dc33e9b1243f7395629199e335a869dbd68eb6c07df764a26f46d51",
 }
 GOLDEN_VALIDATE_SHA256 = "a5069a07c8439b624c60e7730742f9fbb6e63d2ea5a6669637d2a3841983e28f"
 
@@ -462,6 +462,15 @@ def test_tiny_distance_gain_overflow_is_config_error(tmp_path, capsys, command):
     text = SYMMETRIC_SCENARIO.replace("hrc_gains: [1.0e-13]", "hrc_distances_m: [1.0e-300]")
     assert _probe_exit(tmp_path, text, command) == 2
     assert "devices.hrc[0]: pathloss" in capsys.readouterr().err
+
+
+def test_overflowing_power_sum_is_named_domain_error(tmp_path, capsys):
+    # Each 1e308 W power is valid; the sum over the five pairs is not.
+    text = crnoma.scenario.default_scenario_text().replace("hrc_power: 0.7", "hrc_power: 1.0e+308")
+    assert _probe_exit(tmp_path, text) == 3
+    assert capsys.readouterr().err == (
+        "domain error: sum of the 5 pairs' hrc transmit powers overflows to inf\n"
+    )
 
 
 def test_pathloss_gain_overflow_is_usage_error(capsys):

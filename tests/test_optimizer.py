@@ -12,10 +12,13 @@ from crnoma import (
     INTERFERENCE,
     OptProblem,
     PowerOverheads,
+    SensingProfile,
     ee_of_power,
+    energy_efficiency,
     numerical_argmax,
     optimal_power,
     optimize_scenario,
+    throughput,
 )
 from conftest import make_scenario, reference_argmax
 
@@ -366,3 +369,40 @@ def test_numerical_argmax_is_bit_identical_to_reference_search(default_scenario,
             state=rng.choice((EFFECTUAL, INTERFERENCE)),
         )
         assert numerical_argmax(problem, sensing, env) == reference_argmax(problem, sensing, env)
+
+
+@pytest.mark.parametrize("coupling", ["nominal", "cascaded"])
+@pytest.mark.parametrize("state", [EFFECTUAL, INTERFERENCE])
+def test_optimum_ee_is_energy_efficiency_of_throughput(default_scenario, state, coupling):
+    """EE at each feasible optimum equals the public throughput and EE path bit for bit."""
+    rng = random.Random(11)
+    primary = default_scenario.primary if state == INTERFERENCE else None
+    checked = 0
+    mismatches = []
+    for _ in range(200):
+        sensing = SensingProfile(
+            t_transmit_s=rng.uniform(1e-5, 1e-3),
+            t_sense_s=rng.uniform(0.0, 1e-3),
+            p_inactive=rng.random(),
+            p_active=rng.random(),
+            p_false_alarm=rng.random(),
+            p_detection=rng.random(),
+        )
+        scn = replace(default_scenario, sensing=sensing)
+        optima = optimize_scenario(scn, state, coupling)
+        for pair, hrc, mrc in zip(scn.pairs, optima.hrc, optima.mrc):
+            hrc_power = hrc.power_w if coupling == "cascaded" and hrc.feasible else pair.hrc_power_w
+            for result, device in ((hrc, "hrc"), (mrc, "mrc")):
+                if not result.feasible:
+                    continue
+                if device == "hrc":
+                    optimum_pair = replace(pair, hrc_power_w=result.power_w)
+                else:
+                    optimum_pair = replace(pair, mrc_power_w=result.power_w, hrc_power_w=hrc_power)
+                checked += 1
+                bps = throughput(sensing, scn.env, [optimum_pair], device, primary)
+                expected = energy_efficiency(bps, result.power_w, scn.overheads)
+                if result.ee_bps_per_watt != expected:
+                    mismatches.append((sensing, device, result.ee_bps_per_watt, expected))
+    assert checked > 0
+    assert mismatches == []

@@ -1,5 +1,6 @@
 """Scenario loading, validation diagnostics, and sweeps."""
 
+import copy
 import math
 import random
 import sys
@@ -81,8 +82,7 @@ def test_default_scenario_parameters(default_scenario):
 def test_default_gains_come_from_pathloss(default_scenario):
     scn = default_scenario
     first = scn.pairs[0]
-    assert first.hrc_distance_m == 1200.0
-    expected = power_gain(pathloss_average_db(1200.0, 5.0, scn.los_probability))
+    expected = power_gain(pathloss_average_db(1200.0, 5.0, 0.5))
     assert first.hrc_gain == expected
 
 
@@ -94,7 +94,6 @@ def test_default_pairs_keep_sic_ordering(default_scenario):
 def test_minimal_scenario_with_explicit_gains():
     scn = load_scenario(MINIMAL)
     assert scn.pairs[0].hrc_gain == 1e-13
-    assert scn.pairs[0].hrc_distance_m is None
     # omega was not given: defaulted and recorded.
     assert any("los_probability defaulted" in note for note in scn.notes)
 
@@ -489,7 +488,7 @@ def test_scenario_rejects_grid_value_outside_probability(default_scenario):
 
 def test_content_hash_tracks_content(default_scenario):
     assert default_scenario.content_hash() == default_scenario.content_hash()
-    other = replace(default_scenario, los_probability=0.6)
+    other = replace(default_scenario, sweep_grid=default_scenario.sweep_grid[:-1])
     assert other.content_hash() != default_scenario.content_hash()
 
 
@@ -561,6 +560,12 @@ def test_non_string_label_is_config_error(value):
     assert err.value.field == "label"
 
 
+def test_library_built_scenario_checks_label_type(default_scenario):
+    with pytest.raises(ConfigError) as err:
+        replace(default_scenario, label=["a"])
+    assert str(err.value) == "label: must be a string, got ['a']"
+
+
 def test_null_label_means_unnamed():
     assert load_scenario(MINIMAL.replace("label: minimal", "label:")).label == "unnamed"
 
@@ -577,3 +582,159 @@ def test_gain_overflow_from_tiny_distance_names_field():
     with pytest.raises(ConfigError) as err:
         load_scenario(text)
     assert err.value.field == "devices.mrc[0]"
+
+
+_DEFAULT_DOC = yaml.safe_load(default_scenario_text())
+
+
+def _edited(*edits):
+    """The bundled scenario with each ("section.key", value) edit applied."""
+    doc = copy.deepcopy(_DEFAULT_DOC)
+    for path, value in edits:
+        *sections, key = path.split(".")
+        table = doc
+        for section in sections:
+            table = table.setdefault(section, {})
+        table[key] = value
+    return yaml.safe_dump(doc)
+
+
+def _config_error_text(text):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(text)
+    return str(err.value)
+
+
+# One bad value per key the loader accepts, and the exact error it gives.
+KEY_ERRORS = {
+    "label": (["a"], "label: must be a string, got ['a']"),
+    "unit_mode": ("joules", "unit_mode: must be one of ('watt', 'dbm'), got 'joules'"),
+    **{
+        section: (1, f"{section}: missing or not a table")
+        for section in ("env", "sensing", "pathloss", "sweep", "devices", "primary", "overheads")
+    },
+    **{
+        f"{section}.{key}": ("x", f"{section}.{key}: expected a number, got 'x'")
+        for section, keys in {
+            "env": ("bandwidth_hz", "noise_psd_dbm_hz", "carrier_ghz"),
+            "sensing": (
+                "transmit_time_s", "sense_time_s", "p_inactive", "p_active",
+                "p_false_alarm", "p_detection",
+            ),
+            "pathloss": ("los_probability",),
+            "sweep": ("start", "stop", "step"),
+            "devices": ("hrc_power", "mrc_power"),
+            "primary": ("power", "gain", "distance_m"),
+            "overheads": ("circuit_power", "sensing_power"),
+        }.items()
+        for key in keys
+    },
+    "pathloss.combine": ("x", "pathloss.combine: must be 'db' or 'linear', got 'x'"),
+    **{
+        f"devices.{key}": ("x", f"devices.{key}: expected a non-empty list of numbers")
+        for key in ("hrc_gains", "mrc_gains", "hrc_distances_m", "mrc_distances_m")
+    },
+}
+
+
+def test_key_errors_cover_every_accepted_key():
+    accepted = {
+        f"{section}.{key}" if section else key
+        for section, keys in crnoma.scenario._KEYS.items()
+        for key in keys
+    }
+    assert set(KEY_ERRORS) == accepted
+
+
+@pytest.mark.parametrize("path", list(KEY_ERRORS))
+def test_bad_value_of_each_key_names_it(path):
+    value, message = KEY_ERRORS[path]
+    assert _config_error_text(_edited((path, value))) == message
+
+
+_HRC_DISTANCES = [1200.0, 1400.0, 1600.0, 1800.0, 2000.0]
+
+# Each place the loader names a model-level ValueError, plus check order
+# where one document holds two errors.
+SITE_ERRORS = {
+    "env": ([("env.bandwidth_hz", -1.0)], "env: bandwidth_hz must be > 0, got -1.0"),
+    "env_nan": ([("env.bandwidth_hz", math.nan)], "env: bandwidth_hz must be > 0, got nan"),
+    "noise_dbm_overflow": (
+        [("env.noise_psd_dbm_hz", 5000.0)],
+        "env.noise_psd_dbm_hz: dBm power 5000.0 overflows in watts",
+    ),
+    "noise_infinite_product": (
+        [("env.bandwidth_hz", 1e300), ("env.noise_psd_dbm_hz", 300.0)],
+        "env.noise_psd_dbm_hz: noise power must be finite and > 0 W, got inf",
+    ),
+    "sensing": (
+        [("sensing.p_detection", 1.5)],
+        "sensing: p_detection must be a probability in [0, 1], got 1.5",
+    ),
+    "sensing_time": (
+        [("sensing.transmit_time_s", 0.0)], "sensing: t_transmit_s must be > 0, got 0.0"
+    ),
+    "pair": ([("devices.hrc_power", -1.0)], "devices[0]: hrc_power_w must be >= 0, got -1.0"),
+    "hrc_distance_overflow": (
+        [("devices.hrc_distances_m", [1200.0, 1e-300] + _HRC_DISTANCES[2:])],
+        "devices.hrc[1]: pathloss -8763.573689900271 dB overflows as a power gain",
+    ),
+    "mrc_negative_distance": (
+        [("devices.mrc_distances_m", [1300.0, 1500.0, -5.0, 1900.0, 2000.0])],
+        "devices.mrc[2]: distance_m must be finite and > 0, got -5.0",
+    ),
+    "primary_distance_overflow": (
+        [("primary.distance_m", 1e-300)],
+        "primary[0]: pathloss -8763.573689900271 dB overflows as a power gain",
+    ),
+    "hrc_power_dbm_overflow": (
+        [("unit_mode", "dbm"), ("devices.hrc_power", 5000.0)],
+        "devices.hrc_power: dBm power 5000.0 overflows in watts",
+    ),
+    "primary": ([("primary.power", -1.0)], "primary: power_w must be >= 0, got -1.0"),
+    "primary_dbm_overflow": (
+        [("unit_mode", "dbm"), ("primary.power", 5000.0)],
+        "primary.power: dBm power 5000.0 overflows in watts",
+    ),
+    "overheads": (
+        [("overheads.circuit_power", 0.0), ("overheads.sensing_power", 0.0)],
+        "overheads: circuit_w + sensing_w must be > 0",
+    ),
+    "overheads_dbm_overflow": (
+        [("unit_mode", "dbm"), ("overheads.sensing_power", 5000.0)],
+        "overheads.sensing_power: dBm power 5000.0 overflows in watts",
+    ),
+    "grid": (
+        [("sweep.stop", 1.5), ("sweep.step", 0.5)],
+        "sweep: p_x must be a probability in [0, 1], got 1.5",
+    ),
+    "label": ([("label", ["a", "b"])], "label: must be a string, got ['a', 'b']"),
+    "label_before_grid": (
+        [("label", 42), ("sweep.stop", 1.5), ("sweep.step", 0.5)],
+        "label: must be a string, got 42",
+    ),
+    "unit_mode": ([("unit_mode", "joules")], "unit_mode: must be one of ('watt', 'dbm'), got 'joules'"),
+    "los_probability": (
+        [("pathloss.los_probability", 2.0)],
+        "pathloss.los_probability: must lie in [0, 1], got 2.0",
+    ),
+    "env_before_sensing": (
+        [("env.carrier_ghz", 0.0), ("sensing.p_detection", 1.5)],
+        "env: carrier_ghz must be > 0, got 0.0",
+    ),
+    "pair_count": (
+        [("devices.mrc_distances_m", [1300.0])],
+        "devices: HRC and MRC device counts must match (paired NOMA model), got 5 vs 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SITE_ERRORS))
+def test_config_error_text_is_pinned(case):
+    edits, message = SITE_ERRORS[case]
+    assert _config_error_text(_edited(*edits)) == message
+
+
+@pytest.mark.parametrize("text", ["just a scalar", "- a\n- b\n"])
+def test_non_mapping_document_error_text_is_pinned(text):
+    assert _config_error_text(text) == "<document>: top level must be a mapping of sections"
