@@ -17,8 +17,9 @@ import tempfile
 from typing import List, Optional
 
 from .metrics import DEVICES, STATES, improvement_percent
-from .optimizer import optimize_scenario
+from .optimizer import COUPLINGS, optimize_scenario
 from .pathloss import (
+    DEFAULT_LOS_PROBABILITY,
     pathloss_average_db,
     pathloss_los_db,
     pathloss_nlos_db,
@@ -207,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        f"(default: ${SCENARIO_ENV_VAR} or the bundled scenario)")
     sweep.add_argument("--state", choices=STATES, required=True)
     sweep.add_argument("--device", choices=DEVICES, required=True)
-    sweep.add_argument("--coupling", choices=("nominal", "cascaded"), default="nominal")
+    sweep.add_argument("--coupling", choices=COUPLINGS, default="nominal")
     sweep.add_argument("--out", help="output CSV path (stdout when omitted)")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -216,14 +217,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("scenario", nargs="?")
     optimize.add_argument("--state", choices=STATES, required=True)
-    optimize.add_argument("--coupling", choices=("nominal", "cascaded"), default="nominal")
+    optimize.add_argument("--coupling", choices=COUPLINGS, default="nominal")
     optimize.add_argument("--out", help="write a CSV table instead of text")
     optimize.set_defaults(func=_cmd_optimize)
 
     pathloss = sub.add_parser("pathloss", help="LOS/NLOS/average pathloss and |g|^2")
     pathloss.add_argument("--d", type=float, required=True, help="distance in meters")
     pathloss.add_argument("--f", type=float, required=True, help="carrier in GHz")
-    pathloss.add_argument("--omega", type=float, default=0.5, help="LOS probability")
+    pathloss.add_argument(
+        "--omega", type=float, default=DEFAULT_LOS_PROBABILITY, help="LOS probability"
+    )
     pathloss.add_argument("--combine", choices=("db", "linear"), default="db")
     pathloss.set_defaults(func=_cmd_pathloss)
 

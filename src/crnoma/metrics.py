@@ -49,6 +49,16 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
+def _check_state(state: str) -> None:
+    if state not in STATES:
+        raise ValueError(f"state must be one of {STATES}, got {state!r}")
+
+
+def _check_device(device: str) -> None:
+    if device not in DEVICES:
+        raise ValueError(f"device must be one of {DEVICES}, got {device!r}")
+
+
 @dataclass(frozen=True)
 class SensingProfile:
     """Spectrum-sensing timing and probabilities shared by all devices.
@@ -186,10 +196,8 @@ class MetricPoint:
     optimized: bool
 
     def __post_init__(self) -> None:
-        if self.state not in STATES:
-            raise ValueError(f"state must be one of {STATES}, got {self.state!r}")
-        if self.device not in DEVICES:
-            raise ValueError(f"device must be one of {DEVICES}, got {self.device!r}")
+        _check_state(self.state)
+        _check_device(self.device)
         _check_probability("p_x", self.p_x)
         if self.throughput_bps < 0.0:
             raise ValueError("throughput_bps must be >= 0")
@@ -206,6 +214,15 @@ def duty_factor(sensing: SensingProfile) -> float:
 def _detection_term(sensing: SensingProfile, state: str) -> float:
     """Weight of a correct sensing decision: 1 - p_false_alarm or 1 - p_detection."""
     return 1.0 - (sensing.p_false_alarm if state == EFFECTUAL else sensing.p_detection)
+
+
+def _kappa_b(sensing: SensingProfile, env: RadioEnvironment, state: str) -> float:
+    """Rate prefactor duty * p_x(state) * (1 - p_false_alarm | 1 - p_detection) * b.
+
+    Rounded left to right, the order ``run_sweep`` also uses.
+    """
+    p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
+    return duty_factor(sensing) * p_state * _detection_term(sensing, state) * env.bandwidth_hz
 
 
 def _base_denominator_w(env: RadioEnvironment, primary: Optional[PrimaryLink] = None) -> float:
@@ -253,16 +270,13 @@ def throughput(
     noise in every D.  An MRC signal also sees its paired HRC's received
     power in D as in-cell NOMA interference.
     """
-    if device not in DEVICES:
-        raise ValueError(f"device must be one of {DEVICES}, got {device!r}")
-    state = EFFECTUAL if primary is None else INTERFERENCE
-    p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
-    pref = duty_factor(sensing) * p_state * _detection_term(sensing, state)
+    _check_device(device)
+    kappa_b = _kappa_b(sensing, env, EFFECTUAL if primary is None else INTERFERENCE)
     # A plain running sum: sum() rounds differently from Python 3.12 on.
     total = 0.0
     for rate in _pair_rates(env, pairs, device, primary):
         total += rate
-    return pref * env.bandwidth_hz * total
+    return kappa_b * total
 
 
 def energy_efficiency(

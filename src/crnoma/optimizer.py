@@ -6,33 +6,32 @@ For a single device the EE curve over its own transmit power p is
 
 with g2 the own-link power gain, D the total denominator power (noise plus
 every interfering received power for that device and state), and
-C = circuit + sensing overhead.  The stationary point is prefactor-free and
-has the closed form
+C = circuit + sensing overhead.  The state's prefactor kappa * b
+(``metrics._kappa_b``) never moves the maximum, which has the closed form
 
     p* = (C * g2 - D) / (W0(((C * g2 - D) / D) * e^-1) * g2) - D / g2
 
 where W0 is the principal Lambert W branch.  All four device/state cases
-share this shape and differ only in D.  ``numerical_argmax`` provides an
-independent golden-section check of the same maximum.
+share this shape and differ only in D.  ``optimal_power``, ``ee_of_power``
+and the golden-section check ``numerical_argmax`` work on the normalized
+curve kappa * b = 1; ``optimize_scenario`` reports each pair's EE scaled
+by the prefactor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .lambertw import lambert_w0
 from .metrics import (
-    EFFECTUAL,
     INTERFERENCE,
     DevicePair,
     PowerOverheads,
-    RadioEnvironment,
-    SensingProfile,
     _base_denominator_w,
-    _detection_term,
-    duty_factor,
+    _check_state,
+    _kappa_b,
 )
 
 __all__ = [
@@ -45,7 +44,10 @@ __all__ = [
     "optimize_scenario",
 ]
 
+COUPLINGS = ("nominal", "cascaded")
+
 _ORACLE_REL_WIDTH = 1e-9
+_ORACLE_P_START_W = 1e6
 _ORACLE_P_CAP_W = 1e12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_E = math.exp(-1.0)
@@ -53,26 +55,21 @@ _INV_E = math.exp(-1.0)
 
 @dataclass(frozen=True)
 class OptProblem:
-    """Single-device EE maximization instance.
+    """Single-device EE maximization instance on the normalized curve.
 
     denom_power_w bundles noise plus all interference received powers for
-    the given device and state; p_max_w is only the oracle's initial search
-    ceiling and is grown automatically when needed.
+    one device and state.
     """
 
     gain: float
     denom_power_w: float
     overheads: PowerOverheads
-    p_max_w: float = 1e6
-    state: str = EFFECTUAL
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.gain) or self.gain <= 0.0:
             raise ValueError(f"gain must be > 0, got {self.gain!r}")
         if not math.isfinite(self.denom_power_w) or self.denom_power_w <= 0.0:
             raise ValueError(f"denom_power_w must be > 0, got {self.denom_power_w!r}")
-        if not math.isfinite(self.p_max_w) or self.p_max_w <= 0.0:
-            raise ValueError(f"p_max_w must be > 0, got {self.p_max_w!r}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,8 @@ class OptResult:
     Infeasibility (the formula's numerator C*g2 - D not positive, a Lambert
     argument outside the principal branch, or a non-positive power) is a
     typed result rather than an exception; power_w is NaN in that case.
-    ee_bps_per_watt is evaluated at power_w, with the probability prefactor
-    and bandwidth set to one when no sensing/environment context is given.
+    ee_bps_per_watt is evaluated at power_w: normalized (kappa * b = 1)
+    from ``optimal_power``, scaled by the prefactor from ``optimize_scenario``.
     """
 
     power_w: float
@@ -93,41 +90,13 @@ class OptResult:
     reason: str = ""
 
 
-def _kappa_b(
-    state: str,
-    sensing: Optional[SensingProfile],
-    env: Optional[RadioEnvironment],
-) -> float:
-    """EE prefactor duty * p_x(state) * (1 - p_false_alarm | 1 - p_detection) * b.
-
-    Without a sensing/environment context the curve is normalized to one.
-    Any state other than effectual takes the interference weights.
-    """
-    if sensing is None or env is None:
-        return 1.0
-    p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
-    # Left to right, as ``throughput`` rounds it, so both give the same bits.
-    return duty_factor(sensing) * p_state * _detection_term(sensing, state) * env.bandwidth_hz
-
-
-def ee_of_power(
-    power_w: float,
-    problem: OptProblem,
-    sensing: Optional[SensingProfile] = None,
-    env: Optional[RadioEnvironment] = None,
-) -> float:
-    """Single-device energy efficiency at a candidate transmit power.
-
-    With sensing and environment given, the full prefactor
-    duty * p_x(state) * (1 - p_false_alarm or 1 - p_detection) and the
-    bandwidth are applied; otherwise the curve is normalized to
-    kappa * b = 1.  The maximizing power is the same either way.
-    """
+def ee_of_power(power_w: float, problem: OptProblem) -> float:
+    """Single-device energy efficiency at a candidate transmit power,
+    on the normalized curve kappa * b = 1."""
     if not math.isfinite(power_w) or power_w < 0.0:
         raise ValueError(f"power_w must be >= 0, got {power_w!r}")
-    kappa_b = _kappa_b(problem.state, sensing, env)
     rate = math.log2(1.0 + power_w * problem.gain / problem.denom_power_w)
-    return kappa_b * rate / (power_w + problem.overheads.total_w)
+    return rate / (power_w + problem.overheads.total_w)
 
 
 def _closed_form(
@@ -140,7 +109,8 @@ def _closed_form(
     """The Lambert-W stationary power for gain g2, denominator d, overheads c.
 
     The one place the closed form and its infeasibility branches are
-    written; EE at the optimum follows ``ee_of_power``'s operation order.
+    written; EE at the optimum is ``kappa_b * rate / (p + c)``, in
+    ``ee_of_power``'s operation order.
     """
     numerator = c * g2 - d
     arg = (numerator / d) * _INV_E
@@ -175,37 +145,26 @@ def _closed_form(
 
 
 def optimal_power(
-    problem: OptProblem,
-    sensing: Optional[SensingProfile] = None,
-    env: Optional[RadioEnvironment] = None,
-    lambert_fn: Callable[[float], float] = lambert_w0,
+    problem: OptProblem, lambert_fn: Callable[[float], float] = lambert_w0
 ) -> OptResult:
-    """Closed-form EE-stationary transmit power for one device.
+    """Closed-form EE-stationary transmit power for one device, EE normalized.
 
     lambert_fn exists as a validation hook so a deliberately corrupted
     solver can be injected to prove the stationarity checks have teeth.
     """
     return _closed_form(
-        problem.gain,
-        problem.denom_power_w,
-        problem.overheads.total_w,
-        _kappa_b(problem.state, sensing, env),
-        lambert_fn,
+        problem.gain, problem.denom_power_w, problem.overheads.total_w, 1.0, lambert_fn
     )
 
 
-def numerical_argmax(
-    problem: OptProblem,
-    sensing: Optional[SensingProfile] = None,
-    env: Optional[RadioEnvironment] = None,
-) -> float:
+def numerical_argmax(problem: OptProblem) -> float:
     """Golden-section argmax of the single-device EE curve.
 
     EE is unimodal in the transmit power (log over affine), so golden
-    section applies.  The upper bracket starts at problem.p_max_w and
-    doubles until EE is decreasing there, capped at 1e12 W.  Each section
-    step evaluates its one new probe inline (a call per probe costs more
-    than the arithmetic), in ``ee_of_power``'s operation order and with its
+    section applies.  The upper bracket starts at 1e6 W and doubles until
+    EE is decreasing there, capped at 1e12 W.  Each section step evaluates
+    its one new probe inline (a call per probe costs more than the
+    arithmetic), in ``ee_of_power``'s operation order and with its
     ``power_w >= 0`` check.  Probes and result are therefore bit-identical
     to a search over ``ee_of_power``;
     ``test_numerical_argmax_is_bit_identical_to_reference_search`` pins this.
@@ -213,7 +172,6 @@ def numerical_argmax(
     gain = problem.gain
     denom = problem.denom_power_w
     overhead = problem.overheads.total_w
-    kappa_b = _kappa_b(problem.state, sensing, env)
     log2 = math.log2
     isfinite = math.isfinite
 
@@ -221,9 +179,9 @@ def numerical_argmax(
         # ee_of_power with the problem bound once: same check, same order.
         if not isfinite(p) or p < 0.0:
             raise ValueError(f"power_w must be >= 0, got {p!r}")
-        return kappa_b * log2(1.0 + p * gain / denom) / (p + overhead)
+        return log2(1.0 + p * gain / denom) / (p + overhead)
 
-    hi = problem.p_max_w
+    hi = _ORACLE_P_START_W
     while ee(hi) >= ee(hi * 0.5):
         hi *= 2.0
         if hi > _ORACLE_P_CAP_W:
@@ -248,7 +206,7 @@ def numerical_argmax(
         # Probes stay in [0, hi] with hi <= 1e12, so p is finite.
         if p < 0.0:
             raise ValueError(f"power_w must be >= 0, got {p!r}")
-        f = kappa_b * log2(1.0 + p * gain / denom) / (p + overhead)
+        f = log2(1.0 + p * gain / denom) / (p + overhead)
         if left:
             c, fc = p, f
         else:
@@ -265,7 +223,7 @@ class ScenarioOptima:
 
 
 def _check_coupling(coupling: str) -> None:
-    if coupling not in ("nominal", "cascaded"):
+    if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be 'nominal' or 'cascaded', got {coupling!r}")
 
 
@@ -281,12 +239,12 @@ def _coupled_hrc_powers(
 def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> ScenarioOptima:
     """Closed-form optimal powers for every pair of a scenario.
 
+    Each EE is scaled by the state's prefactor, as ``throughput`` scales it.
     In coupling="nominal" the MRC denominators use the nominal HRC power;
     in coupling="cascaded" they use the HRC optimum where it is feasible
     (falling back to nominal otherwise).
     """
-    if state not in (EFFECTUAL, INTERFERENCE):
-        raise ValueError(f"state must be 'effectual' or 'interference', got {state!r}")
+    _check_state(state)
     _check_coupling(coupling)
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
@@ -294,7 +252,7 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     if not 0.0 < base < math.inf:
         raise ValueError(f"denom_power_w must be > 0, got {base!r}")
     overhead = scenario.overheads.total_w
-    kappa_b = _kappa_b(state, scenario.sensing, scenario.env)
+    kappa_b = _kappa_b(scenario.sensing, scenario.env, state)
     pairs = scenario.pairs
 
     hrc = tuple(_closed_form(p.hrc_gain, base, overhead, kappa_b, lambert_w0) for p in pairs)

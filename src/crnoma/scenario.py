@@ -18,17 +18,17 @@ from typing import Callable, Mapping, Optional, Tuple, TypeVar
 import yaml
 
 from .metrics import (
-    DEVICES,
     HRC,
     INTERFERENCE,
-    STATES,
     DevicePair,
     MetricPoint,
     PowerOverheads,
     PrimaryLink,
     RadioEnvironment,
     SensingProfile,
+    _check_device,
     _check_probability,
+    _check_state,
     _consumed_power_w,
     _detection_term,
     _pair_rates,
@@ -87,6 +87,11 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+def _check_unit_mode(unit_mode) -> None:
+    if unit_mode not in UNIT_MODES:
+        raise ConfigError("unit_mode", f"must be one of {UNIT_MODES}, got {unit_mode!r}")
+
+
 def _named(field: str, build: Callable[..., T], *args, **kwargs) -> T:
     """Call ``build``; any ValueError it raises, even a ConfigError, is renamed ``field``."""
     try:
@@ -113,6 +118,7 @@ class Scenario:
         # Named as the YAML names them, so the loader raises these unwrapped.
         if not isinstance(self.label, str):
             raise ConfigError("label", f"must be a string, got {self.label!r}")
+        _check_unit_mode(self.unit_mode)
         for p_x in self.sweep_grid:
             if not 0.0 <= p_x <= 1.0:  # NaN too; only a bad value pays for the call
                 _named("sweep", _check_probability, "p_x", p_x)
@@ -293,8 +299,7 @@ def load_scenario(text: str) -> Scenario:
 
     notes: list = []
     unit_mode = doc.get("unit_mode", "watt")
-    if unit_mode not in UNIT_MODES:
-        raise ConfigError("unit_mode", f"must be one of {UNIT_MODES}, got {unit_mode!r}")
+    _check_unit_mode(unit_mode)  # before any power is converted
 
     env_t = _section(doc, "env")
     env = _named(
@@ -475,10 +480,8 @@ def run_sweep(
     scaling and one addition). The series is stored as columns, so no
     per-point record is built.
     """
-    if state not in STATES:
-        raise ValueError(f"state must be one of {STATES}, got {state!r}")
-    if device not in DEVICES:
-        raise ValueError(f"device must be one of {DEVICES}, got {device!r}")
+    _check_state(state)
+    _check_device(device)
     _check_coupling(coupling)
 
     infeasible = []

@@ -69,26 +69,26 @@ def make_scenario(
     )
 
 
-def reference_argmax(problem, sensing=None, env=None):
-    """Golden-section search over ee_of_power, written out step by step."""
+def reference_argmax(problem):
+    """Golden-section search over ee_of_power from a 1e6 W bracket, written out step by step."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    hi = problem.p_max_w
-    while ee_of_power(hi, problem, sensing, env) >= ee_of_power(hi * 0.5, problem, sensing, env):
+    hi = 1e6
+    while ee_of_power(hi, problem) >= ee_of_power(hi * 0.5, problem):
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("unbounded")
     a, b = 0.0, hi
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
-    fc = ee_of_power(c, problem, sensing, env)
-    fd = ee_of_power(d, problem, sensing, env)
+    fc = ee_of_power(c, problem)
+    fd = ee_of_power(d, problem)
     while (b - a) > 1e-9 * max(abs(a), abs(b)):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi
-            fc = ee_of_power(c, problem, sensing, env)
+            fc = ee_of_power(c, problem)
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * invphi
-            fd = ee_of_power(d, problem, sensing, env)
+            fd = ee_of_power(d, problem)
     return 0.5 * (a + b)

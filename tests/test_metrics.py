@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crnoma import (
+    EFFECTUAL,
     HRC,
     MRC,
     DevicePair,
+    MetricPoint,
     PowerOverheads,
     PrimaryLink,
     RadioEnvironment,
@@ -14,6 +16,8 @@ from crnoma import (
     duty_factor,
     energy_efficiency,
     improvement_percent,
+    optimize_scenario,
+    run_sweep,
     throughput,
 )
 
@@ -134,6 +138,35 @@ def test_mrc_interference_reduces_without_hrc_and_primary():
 def test_throughput_rejects_unknown_device():
     with pytest.raises(ValueError, match="device must be one of"):
         throughput(sensing(), UNIT_ENV, [pair()], "xrc")
+
+
+STATE_ERROR = "state must be one of ('effectual', 'interference'), got 'bogus'"
+DEVICE_ERROR = "device must be one of ('hrc', 'mrc'), got 'bogus'"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda scn: run_sweep(scn, "bogus", HRC, True), STATE_ERROR),
+        (lambda scn: run_sweep(scn, EFFECTUAL, "bogus", True), DEVICE_ERROR),
+        (lambda scn: optimize_scenario(scn, "bogus"), STATE_ERROR),
+        (lambda scn: MetricPoint(0.5, "bogus", HRC, 0.0, 0.0, 0.0, False), STATE_ERROR),
+        (lambda scn: MetricPoint(0.5, EFFECTUAL, "bogus", 0.0, 0.0, 0.0, False), DEVICE_ERROR),
+        (lambda scn: throughput(scn.sensing, scn.env, scn.pairs, "bogus"), DEVICE_ERROR),
+    ],
+    ids=[
+        "run_sweep-state",
+        "run_sweep-device",
+        "optimize_scenario-state",
+        "MetricPoint-state",
+        "MetricPoint-device",
+        "throughput-device",
+    ],
+)
+def test_unknown_state_or_device_has_one_message(default_scenario, call, message):
+    with pytest.raises(ValueError) as err:
+        call(default_scenario)
+    assert str(err.value) == message
 
 
 def test_energy_efficiency_reference_points():

@@ -66,19 +66,20 @@ def test_ee_of_power_reference_points():
 
 
 def test_ee_of_power_zero_prefactor(default_scenario):
-    sensing = default_scenario.sensing
-    env = default_scenario.env
-    prob = OptProblem(
-        gain=1e-13,
-        denom_power_w=env.noise_w(),
-        overheads=default_scenario.overheads,
-        state=EFFECTUAL,
-    )
-    from dataclasses import replace
-
-    dead = replace(sensing, p_inactive=0.0)
-    for p in (0.0, 1.0, 50.0):
-        assert ee_of_power(p, prob, dead, env) == 0.0
+    """A zero prefactor zeroes the scaled EE and leaves every optimum in place."""
+    for state, zeroing in (
+        (EFFECTUAL, {"p_inactive": 0.0}),
+        (EFFECTUAL, {"p_false_alarm": 1.0}),
+        (INTERFERENCE, {"p_active": 0.0}),
+        (INTERFERENCE, {"p_detection": 1.0}),
+    ):
+        dead = replace(default_scenario, sensing=replace(default_scenario.sensing, **zeroing))
+        live = optimize_scenario(default_scenario, state)
+        optima = optimize_scenario(dead, state)
+        for got, expected in zip(optima.hrc + optima.mrc, live.hrc + live.mrc):
+            assert got.feasible
+            assert got.ee_bps_per_watt == 0.0
+            assert got.power_w == expected.power_w
 
 
 def test_oracle_matches_exact_construction():
@@ -87,13 +88,15 @@ def test_oracle_matches_exact_construction():
 
 
 def test_oracle_grows_its_bracket():
-    small_cap = OptProblem(
-        gain=1.0,
+    # EXACT_PROBLEM with D / g2 and C scaled by 1e7: the same Lambert
+    # argument, so the optimum is 1e7 * (e^2 - 1) W, above the 1e6 W start.
+    far = OptProblem(
+        gain=1e-7,
         denom_power_w=1.0,
-        overheads=PowerOverheads(circuit_w=1.0, sensing_w=E2),
-        p_max_w=1e-3,
+        overheads=PowerOverheads(circuit_w=1e7, sensing_w=E2 * 1e7),
     )
-    assert numerical_argmax(small_cap) == pytest.approx(EXACT_POWER, rel=1e-6)
+    assert optimal_power(far).power_w == pytest.approx(EXACT_POWER * 1e7, rel=1e-12)
+    assert numerical_argmax(far) == pytest.approx(EXACT_POWER * 1e7, rel=1e-6)
 
 
 def test_oracle_bracket_is_capped():
@@ -152,28 +155,30 @@ def test_lambert_argument_scaling_invariance(k):
 
 
 def test_prefactor_independence(default_scenario):
-    """p_x, p_f, p_d, duty, and bandwidth never move the optimum power."""
-    from dataclasses import replace
-
-    env = default_scenario.env
-    prob = OptProblem(
-        gain=6.6e-14,
-        denom_power_w=env.noise_w(),
-        overheads=default_scenario.overheads,
-        state=EFFECTUAL,
-    )
-    closed = optimal_power(prob).power_w
+    """p_x, p_f, p_d and duty never move a scenario's optimal powers."""
     rng = random.Random(7)
-    for _ in range(5):
-        sensing = replace(
+    sensings = [
+        replace(
             default_scenario.sensing,
-            p_inactive=rng.uniform(0.05, 1.0),
-            p_false_alarm=rng.uniform(0.0, 0.1),
+            # The first profile has both state probabilities at zero.
+            p_inactive=rng.random() if i else 0.0,
+            p_active=rng.random() if i else 0.0,
+            p_false_alarm=rng.random(),
+            p_detection=rng.random(),
             t_sense_s=rng.uniform(0.0, 1e-3),
         )
-        assert optimal_power(prob, sensing, env).power_w == closed
-        oracle = numerical_argmax(prob, sensing, env)
-        assert oracle == pytest.approx(closed, rel=1e-6)
+        for i in range(20)
+    ]
+    for state in (EFFECTUAL, INTERFERENCE):
+        for coupling in ("nominal", "cascaded"):
+            expected = optimize_scenario(default_scenario, state, coupling)
+            for sensing in sensings:
+                scn = replace(default_scenario, sensing=sensing)
+                optima = optimize_scenario(scn, state, coupling)
+                for got, want in zip(optima.hrc + optima.mrc, expected.hrc + expected.mrc):
+                    assert repr((got.power_w, got.lambert_arg, got.feasible)) == repr(
+                        (want.power_w, want.lambert_arg, want.feasible)
+                    )
 
 
 def test_stationarity_and_optimality_at_exact_point():
@@ -262,29 +267,18 @@ def test_scenario_no_primary_matches_effectual_for_hrc():
 
 def test_scenario_optimum_never_below_nominal_ee(default_scenario):
     scn = default_scenario
-    npb = scn.env.noise_w()
     for state in (EFFECTUAL, INTERFERENCE):
-        base = npb + (scn.primary.received_w() if state == INTERFERENCE else 0.0)
+        primary = scn.primary if state == INTERFERENCE else None
         optima = optimize_scenario(scn, state)
         for pair, hrc_result, mrc_result in zip(scn.pairs, optima.hrc, optima.mrc):
-            hrc_prob = OptProblem(
-                gain=pair.hrc_gain,
-                denom_power_w=base,
-                overheads=scn.overheads,
-                state=state,
-            )
-            nominal_ee = ee_of_power(pair.hrc_power_w, hrc_prob, scn.sensing, scn.env)
-            assert hrc_result.feasible
-            assert hrc_result.ee_bps_per_watt >= nominal_ee
-            mrc_prob = OptProblem(
-                gain=pair.mrc_gain,
-                denom_power_w=base + pair.hrc_power_w * pair.hrc_gain,
-                overheads=scn.overheads,
-                state=state,
-            )
-            nominal_ee = ee_of_power(pair.mrc_power_w, mrc_prob, scn.sensing, scn.env)
-            assert mrc_result.feasible
-            assert mrc_result.ee_bps_per_watt >= nominal_ee
+            for result, device, nominal_w in (
+                (hrc_result, "hrc", pair.hrc_power_w),
+                (mrc_result, "mrc", pair.mrc_power_w),
+            ):
+                bps = throughput(scn.sensing, scn.env, [pair], device, primary)
+                nominal_ee = energy_efficiency(bps, nominal_w, scn.overheads)
+                assert result.feasible
+                assert result.ee_bps_per_watt >= nominal_ee
 
 
 def test_cascaded_coupling_changes_only_mrc(default_scenario):
@@ -308,16 +302,26 @@ def _bits(result):
 
 
 def _reference_optima(scn, state, coupling):
-    """Per-pair optimal_power over one OptProblem per device, as written out."""
+    """Per-pair optimal_power over one OptProblem per device, as written out,
+    each feasible EE taken as energy_efficiency(throughput(...)) at p*."""
+    primary = scn.primary if state == INTERFERENCE else None
     base = scn.env.noise_w()
-    if state == INTERFERENCE:
-        base += scn.primary.received_w()
+    if primary is not None:
+        base += primary.received_w()
+
+    def solve(problem, device, optimum_pair):
+        result = optimal_power(problem)
+        if not result.feasible:
+            return problem, result
+        pair_at_optimum = optimum_pair(result.power_w)
+        bps = throughput(scn.sensing, scn.env, [pair_at_optimum], device, primary)
+        ee = energy_efficiency(bps, result.power_w, scn.overheads)
+        return problem, replace(result, ee_bps_per_watt=ee)
+
     hrc, mrc = [], []
     for pair in scn.pairs:
-        hrc_problem = OptProblem(
-            gain=pair.hrc_gain, denom_power_w=base, overheads=scn.overheads, state=state
-        )
-        hrc.append((hrc_problem, optimal_power(hrc_problem, scn.sensing, scn.env)))
+        hrc_problem = OptProblem(gain=pair.hrc_gain, denom_power_w=base, overheads=scn.overheads)
+        hrc.append(solve(hrc_problem, "hrc", lambda p: replace(pair, hrc_power_w=p)))
         hrc_power = pair.hrc_power_w
         if coupling == "cascaded" and hrc[-1][1].feasible:
             hrc_power = hrc[-1][1].power_w
@@ -325,9 +329,14 @@ def _reference_optima(scn, state, coupling):
             gain=pair.mrc_gain,
             denom_power_w=base + hrc_power * pair.hrc_gain,
             overheads=scn.overheads,
-            state=state,
         )
-        mrc.append((mrc_problem, optimal_power(mrc_problem, scn.sensing, scn.env)))
+        mrc.append(
+            solve(
+                mrc_problem,
+                "mrc",
+                lambda p: replace(pair, mrc_power_w=p, hrc_power_w=hrc_power),
+            )
+        )
     return hrc, mrc
 
 
@@ -351,24 +360,30 @@ def test_optimize_scenario_is_bit_identical_to_per_pair_path(
         assert _bits(got) == _bits(expected)
         if got.feasible:
             feasible += 1
-            # EE at p* in ee_of_power's own operation order.
-            assert got.ee_bps_per_watt == ee_of_power(got.power_w, problem, scn.sensing, scn.env)
+            # optimal_power's normalized EE at p*, in ee_of_power's operation order.
+            assert optimal_power(problem).ee_bps_per_watt == ee_of_power(got.power_w, problem)
     if kind == "mixed_feasibility":
         assert 0 < feasible < len(hrc + mrc)
 
 
-@pytest.mark.parametrize("with_context", [False, True])
-def test_numerical_argmax_is_bit_identical_to_reference_search(default_scenario, with_context):
-    sensing = default_scenario.sensing if with_context else None
-    env = default_scenario.env if with_context else None
+@pytest.mark.parametrize("above_start", [False, True])
+def test_numerical_argmax_is_bit_identical_to_reference_search(above_start):
+    """Bit-equal to the written-out search; with above_start every optimum
+    lies above the 1e6 W first bracket, so the doubling loop runs."""
     rng = random.Random(2024)
     for _ in range(1000):
-        problem = replace(
-            random_problem(rng),
-            p_max_w=rng.choice((1e-3, 1.0, 1e6)),
-            state=rng.choice((EFFECTUAL, INTERFERENCE)),
-        )
-        assert numerical_argmax(problem, sensing, env) == reference_argmax(problem, sensing, env)
+        problem = random_problem(rng)
+        if above_start:
+            # Scaling D and C by s scales the argmax by s and keeps the curve's shape.
+            s = 10.0 ** rng.uniform(6.5, 11.0) / numerical_argmax(problem)
+            problem = OptProblem(
+                gain=problem.gain,
+                denom_power_w=problem.denom_power_w * s,
+                overheads=PowerOverheads(circuit_w=problem.overheads.circuit_w * s, sensing_w=0.0),
+            )
+        argmax = numerical_argmax(problem)
+        assert argmax == reference_argmax(problem)
+        assert argmax > 1e6 or not above_start
 
 
 @pytest.mark.parametrize("coupling", ["nominal", "cascaded"])

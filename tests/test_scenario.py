@@ -566,6 +566,14 @@ def test_library_built_scenario_checks_label_type(default_scenario):
     assert str(err.value) == "label: must be a string, got ['a']"
 
 
+@pytest.mark.parametrize("mode", [["a"], "joules", None])
+def test_library_built_scenario_checks_unit_mode(default_scenario, mode):
+    with pytest.raises(ConfigError) as err:
+        replace(default_scenario, unit_mode=mode)
+    assert str(err.value) == f"unit_mode: must be one of ('watt', 'dbm'), got {mode!r}"
+    assert replace(default_scenario, unit_mode="dbm").unit_mode == "dbm"
+
+
 def test_null_label_means_unnamed():
     assert load_scenario(MINIMAL.replace("label: minimal", "label:")).label == "unnamed"
 

@@ -32,9 +32,9 @@ def test_report_matches_written_out_reference_search(default_scenario, monkeypat
     fast = run_validation(default_scenario, seed=seed, trials=300)
     calls = []
 
-    def counted(problem, sensing=None, env=None):
+    def counted(problem):
         calls.append(problem)
-        return reference_argmax(problem, sensing, env)
+        return reference_argmax(problem)
 
     monkeypatch.setattr(crnoma.validation, "numerical_argmax", counted)
     reference = run_validation(default_scenario, seed=seed, trials=300)
