@@ -139,7 +139,16 @@ class DevicePair:
         SIC decodes the stronger HRC signal first; when this is False that
         premise is strained, though every formula remains well defined.
         """
-        return self.hrc_power_w * self.hrc_gain > self.mrc_power_w * self.mrc_gain
+        return _sic_ordering_holds(
+            self.hrc_power_w, self.hrc_gain, self.mrc_power_w, self.mrc_gain
+        )
+
+
+def _sic_ordering_holds(
+    hrc_power_w: float, hrc_gain: float, mrc_power_w: float, mrc_gain: float
+) -> bool:
+    """``DevicePair.sic_ordering_ok`` on loose powers and gains."""
+    return hrc_power_w * hrc_gain > mrc_power_w * mrc_gain
 
 
 @dataclass(frozen=True)
@@ -236,21 +245,25 @@ def _base_denominator_w(env: RadioEnvironment, primary: Optional[PrimaryLink] = 
 def _pair_rates(
     env: RadioEnvironment,
     pairs: Sequence[DevicePair],
+    hrc_powers: Sequence[float],
+    mrc_powers: Sequence[float],
     device: str,
     primary: Optional[PrimaryLink] = None,
 ) -> List[float]:
     """Per-pair spectral efficiency log2(1 + S / D) of one device class.
 
-    D is the base denominator (``_base_denominator_w``), plus the paired
-    HRC's received power for an MRC device.  ``optimizer.optimize_scenario``
-    writes the same MRC denominator for the optimum's own link.
+    Powers come from the columns ``hrc_powers`` and ``mrc_powers``, gains
+    from ``pairs``, all in pair order.  D is the base denominator
+    (``_base_denominator_w``), plus the paired HRC's received power for an
+    MRC device.  ``optimizer.optimize_scenario`` writes the same MRC
+    denominator for the optimum's own link.
     """
     base = _base_denominator_w(env, primary)
     if device == HRC:
-        return [math.log2(1.0 + p.hrc_power_w * p.hrc_gain / base) for p in pairs]
+        return [math.log2(1.0 + hp * p.hrc_gain / base) for p, hp in zip(pairs, hrc_powers)]
     return [
-        math.log2(1.0 + p.mrc_power_w * p.mrc_gain / (base + p.hrc_power_w * p.hrc_gain))
-        for p in pairs
+        math.log2(1.0 + mp * p.mrc_gain / (base + hp * p.hrc_gain))
+        for p, hp, mp in zip(pairs, hrc_powers, mrc_powers)
     ]
 
 
@@ -274,7 +287,9 @@ def throughput(
     kappa_b = _kappa_b(sensing, env, EFFECTUAL if primary is None else INTERFERENCE)
     # A plain running sum: sum() rounds differently from Python 3.12 on.
     total = 0.0
-    for rate in _pair_rates(env, pairs, device, primary):
+    hrc_powers = [p.hrc_power_w for p in pairs]
+    mrc_powers = [p.mrc_power_w for p in pairs]
+    for rate in _pair_rates(env, pairs, hrc_powers, mrc_powers, device, primary):
         total += rate
     return kappa_b * total
 

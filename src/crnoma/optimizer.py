@@ -243,9 +243,21 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     In coupling="nominal" the MRC denominators use the nominal HRC power;
     in coupling="cascaded" they use the HRC optimum where it is feasible
     (falling back to nominal otherwise).
+
+    Each (state, coupling) is solved once per scenario: later calls on the
+    same scenario return the same ``ScenarioOptima``.  The HRC optima do
+    not depend on the coupling, so both couplings of a state share them.
+    A call that raises caches nothing and raises again when repeated.
     """
     _check_state(state)
     _check_coupling(coupling)
+    # Keyed by state for the HRC tuple and by (state, coupling) for the
+    # optima.  Results are deterministic; when threads race to store one,
+    # setdefault hands back the value stored first.
+    memo = scenario._optima
+    optima = memo.get((state, coupling))
+    if optima is not None:
+        return optima
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
     # OptProblem's denominator check, made without building one per device.
@@ -255,11 +267,14 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     kappa_b = _kappa_b(scenario.sensing, scenario.env, state)
     pairs = scenario.pairs
 
-    hrc = tuple(_closed_form(p.hrc_gain, base, overhead, kappa_b, lambert_w0) for p in pairs)
+    hrc = memo.get(state)
+    if hrc is None:
+        hrc = tuple(_closed_form(p.hrc_gain, base, overhead, kappa_b, lambert_w0) for p in pairs)
+        hrc = memo.setdefault(state, hrc)
     mrc = []
     for pair, hrc_power in zip(pairs, _coupled_hrc_powers(pairs, hrc, coupling)):
         mrc_denom = base + hrc_power * pair.hrc_gain
         if not 0.0 < mrc_denom < math.inf:
             raise ValueError(f"denom_power_w must be > 0, got {mrc_denom!r}")
         mrc.append(_closed_form(pair.mrc_gain, mrc_denom, overhead, kappa_b, lambert_w0))
-    return ScenarioOptima(hrc=hrc, mrc=tuple(mrc))
+    return memo.setdefault((state, coupling), ScenarioOptima(hrc=hrc, mrc=tuple(mrc)))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Mapping, Optional, Tuple, TypeVar
 
@@ -32,6 +33,7 @@ from .metrics import (
     _consumed_power_w,
     _detection_term,
     _pair_rates,
+    _sic_ordering_holds,
     duty_factor,
 )
 from .optimizer import _check_coupling, _coupled_hrc_powers, optimize_scenario
@@ -119,6 +121,11 @@ class Scenario:
         if not isinstance(self.label, str):
             raise ConfigError("label", f"must be a string, got {self.label!r}")
         _check_unit_mode(self.unit_mode)
+        # Every series divides by the pair count and reads the first grid point.
+        if not self.pairs:
+            raise ConfigError("devices", "must hold at least one device pair")
+        if not self.sweep_grid:
+            raise ConfigError("sweep", "grid must hold at least one p_x value")
         for p_x in self.sweep_grid:
             if not 0.0 <= p_x <= 1.0:  # NaN too; only a bad value pays for the call
                 _named("sweep", _check_probability, "p_x", p_x)
@@ -140,6 +147,16 @@ class Scenario:
             self.label,
         ]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+    @cached_property
+    def _optima(self) -> dict:
+        """``optimize_scenario``'s results for this scenario, filled on demand.
+
+        Not a field, so ``repr``, ``==``, ``hash``, ``content_hash`` and
+        ``replace`` ignore it, and a replaced scenario starts empty.  Every
+        field is frozen, so a stored result cannot go stale.
+        """
+        return {}
 
 
 @dataclass(frozen=True)
@@ -473,7 +490,10 @@ def run_sweep(
     For the optimized series, each pair's transmit power is replaced by its
     closed-form optimum; pairs whose optimization is infeasible keep their
     nominal power and are listed in ``infeasible_pairs``.  Headline values
-    are per-pair means.
+    are per-pair means.  The optima come from ``optimize_scenario``, which
+    solves each (state, coupling) once per scenario, so later series of
+    the same scenario reuse the same ``ScenarioOptima``.  The powers a
+    series evaluates are held as HRC and MRC columns; no pair is copied.
 
     Throughput is linear in p_x, so each pair's Shannon rate is computed
     once per series; every grid point then costs O(1) work per pair (one
@@ -484,39 +504,41 @@ def run_sweep(
     _check_device(device)
     _check_coupling(coupling)
 
+    pairs = scenario.pairs
+    hrc_powers = [p.hrc_power_w for p in pairs]
+    mrc_powers = [p.mrc_power_w for p in pairs]
     infeasible = []
     sic_violations = 0
     if optimized:
         optima = optimize_scenario(scenario, state, coupling)
-        results = optima.hrc if device == HRC else optima.mrc
-        hrc_powers = _coupled_hrc_powers(scenario.pairs, optima.hrc, coupling)
-        pairs = []
+        if device == HRC:
+            results, powers = optima.hrc, hrc_powers
+        else:
+            results, powers = optima.mrc, mrc_powers
+            coupled = _coupled_hrc_powers(pairs, optima.hrc, coupling)
+        # No DevicePair is built for the optimized powers, and none needs
+        # its checks: _closed_form marks a result feasible only if its power
+        # is finite and > 0, and every other power is a validated nominal one.
         # Optimized powers routinely break the nominal SIC ordering; the
         # series records how often.
-        for index, (pair, result) in enumerate(zip(scenario.pairs, results)):
+        for index, (pair, result) in enumerate(zip(pairs, results)):
             if not result.feasible:
                 infeasible.append(index)
-                pairs.append(pair)
                 continue
-            if device == HRC:
-                new_pair = replace(pair, hrc_power_w=result.power_w)
-            else:
-                new_pair = replace(
-                    pair, mrc_power_w=result.power_w, hrc_power_w=hrc_powers[index]
-                )
-            if not new_pair.sic_ordering_ok():
+            powers[index] = result.power_w
+            if device != HRC:
+                hrc_powers[index] = coupled[index]
+            if not _sic_ordering_holds(
+                hrc_powers[index], pair.hrc_gain, mrc_powers[index], pair.mrc_gain
+            ):
                 sic_violations += 1
-            pairs.append(new_pair)
-        pairs = tuple(pairs)
-    else:
-        pairs = scenario.pairs
 
     # Plain running sums throughout: sum() rounds differently from Python
     # 3.12 on, and these totals must not depend on the interpreter.
     n = len(pairs)
     tx_total = 0.0
-    for p in pairs:
-        tx_total += p.hrc_power_w if device == HRC else p.mrc_power_w
+    for power in hrc_powers if device == HRC else mrc_powers:
+        tx_total += power
     # Each power is finite, so only their sum can reach inf.
     if tx_total == math.inf:
         raise ValueError(f"sum of the {n} pairs' {device} transmit powers overflows to inf")
@@ -526,7 +548,7 @@ def run_sweep(
 
     sensing = scenario.sensing
     primary = scenario.primary if state == INTERFERENCE else None
-    rates = _pair_rates(scenario.env, pairs, device, primary)
+    rates = _pair_rates(scenario.env, pairs, hrc_powers, mrc_powers, device, primary)
     duty = duty_factor(sensing)
     miss = _detection_term(sensing, state)
     bandwidth = scenario.env.bandwidth_hz

@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 import pytest
 import yaml
 
+import crnoma.optimizer
 import crnoma.scenario
 
 from crnoma import (
@@ -18,8 +19,10 @@ from crnoma import (
     EFFECTUAL,
     INTERFERENCE,
     MetricPoint,
+    ScenarioOptima,
     dbm_to_watt,
     energy_efficiency,
+    lambert_w0,
     load_scenario,
     optimize_scenario,
     pathloss_average_db,
@@ -478,6 +481,193 @@ def test_sweep_rejects_unknown_coupling(default_scenario, optimized):
         run_sweep(default_scenario, EFFECTUAL, "hrc", optimized, "bogus")
 
 
+def _random_scenario(rng):
+    """Log-uniform gains from hopeless to strong, so each state mixes feasible
+    and infeasible optima, including cascaded MRC pairs whose HRC optimum is
+    infeasible and which therefore fall back to the nominal HRC power."""
+
+    def gains(n):
+        return tuple(10.0 ** rng.uniform(-19.0, -12.0) for _ in range(n))
+
+    n = rng.randint(1, 6)
+    return make_scenario(
+        hrc_gains=gains(n),
+        mrc_gains=gains(n),
+        hrc_power_w=rng.uniform(0.0, 2.0),
+        mrc_power_w=rng.uniform(0.0, 2.0),
+        primary_power_w=10.0 ** rng.uniform(-1.0, 2.5),
+        primary_gain=10.0 ** rng.uniform(-16.0, -12.0),
+        circuit_w=rng.uniform(0.0, 150.0),
+        sensing_w=rng.uniform(0.1, 5.0),
+        p_false_alarm=rng.random(),
+        p_detection=rng.random(),
+        grid=sorted(rng.random() for _ in range(rng.randint(1, 7))),
+    )
+
+
+def _memo_scenarios(default_scenario):
+    rng = random.Random(20)
+    randoms = [_random_scenario(rng) for _ in range(22)]
+    return [default_scenario, load_scenario(DBM_GAINS)] + randoms
+
+
+# Every optimize_scenario call and every run_sweep series of one scenario.
+MEMO_CALLS = [
+    (optimize_scenario, (state, coupling))
+    for state in (EFFECTUAL, INTERFERENCE)
+    for coupling in ("nominal", "cascaded")
+] + [
+    (run_sweep, (state, device, optimized, coupling))
+    for state in (EFFECTUAL, INTERFERENCE)
+    for device in ("hrc", "mrc")
+    for optimized in (False, True)
+    for coupling in ("nominal", "cascaded")
+]
+
+
+def test_memoized_results_do_not_depend_on_call_order(default_scenario):
+    cases = {"infeasible hrc": 0, "infeasible mrc": 0, "cascaded fallback": 0}
+    for scn in _memo_scenarios(default_scenario):
+        for i, (fn, args) in enumerate(MEMO_CALLS):
+            first = fn(replace(scn), *args)
+            late = replace(scn)
+            for fn_other, other_args in MEMO_CALLS[:i] + MEMO_CALLS[i + 1 :]:
+                fn_other(late, *other_args)
+            # repr compares the floats bit for bit, NaN powers included.
+            assert repr(fn(late, *args)) == repr(first), (scn.label, fn.__name__, args)
+            if fn is optimize_scenario and args[1] == "cascaded":
+                cases["infeasible hrc"] += sum(not r.feasible for r in first.hrc)
+                cases["infeasible mrc"] += sum(not r.feasible for r in first.mrc)
+                cases["cascaded fallback"] += sum(
+                    not h.feasible and m.feasible for h, m in zip(first.hrc, first.mrc)
+                )
+    assert all(cases.values()), cases
+
+
+@pytest.mark.parametrize("coupling", ["nominal", "cascaded"])
+def test_optimized_series_match_per_pair_copies(default_scenario, coupling):
+    """The power columns give what copying each optimized pair gave."""
+    for scn in _memo_scenarios(default_scenario):
+        for state in (EFFECTUAL, INTERFERENCE):
+            for device in ("hrc", "mrc"):
+                series = run_sweep(scn, state, device, True, coupling)
+                # A fresh scenario, so the reference solves its own optima.
+                fresh = replace(scn)
+                optima = optimize_scenario(fresh, state, coupling)
+                results = optima.hrc if device == "hrc" else optima.mrc
+                infeasible = tuple(i for i, r in enumerate(results) if not r.feasible)
+                pairs = _reference_pairs(fresh, state, device, True, coupling)
+                sic_violations = sum(
+                    not p.sic_ordering_ok()
+                    for i, p in enumerate(pairs)
+                    if i not in infeasible
+                )
+                tx_total = 0.0
+                for p in pairs:
+                    tx_total += p.hrc_power_w if device == "hrc" else p.mrc_power_w
+                expected = list(_reference_points(scn, state, device, pairs))
+                assert series.throughput_bps == tuple(mean for mean, _ in expected)
+                assert series.ee_bps_per_watt == tuple(ee for _, ee in expected)
+                assert series.tx_power_w == tx_total / len(pairs)
+                assert series.infeasible_pairs == infeasible
+                assert series.sic_violations == sic_violations
+
+
+def test_replaced_scenario_starts_without_memo():
+    scn = make_scenario(hrc_gains=(1e-13, 5e-14, 2e-13), mrc_gains=(8e-14, 4e-14, 1e-13))
+    before = (repr(scn), hash(scn), scn.content_hash())
+    full = optimize_scenario(scn, EFFECTUAL, "cascaded")
+    # The memo is no field: repr, hash, content_hash and == ignore it.
+    assert (repr(scn), hash(scn), scn.content_hash()) == before
+    assert scn == replace(scn)
+    assert optimize_scenario(scn, EFFECTUAL, "cascaded") is full
+
+    fewer = replace(scn, pairs=scn.pairs[1:])
+    optima = optimize_scenario(fewer, EFFECTUAL, "cascaded")
+    assert len(optima.hrc) == len(optima.mrc) == 2
+    assert repr(optima) == repr(ScenarioOptima(full.hrc[1:], full.mrc[1:]))
+    stronger = replace(scn, primary=replace(scn.primary, power_w=1.0))
+    assert repr(optimize_scenario(stronger, EFFECTUAL, "cascaded")) == repr(full)
+    assert repr(optimize_scenario(stronger, INTERFERENCE, "cascaded")) != repr(
+        optimize_scenario(scn, INTERFERENCE, "cascaded")
+    )
+
+
+def test_failed_optimization_is_not_cached(default_scenario):
+    pair = replace(default_scenario.pairs[0], hrc_power_w=1e308, hrc_gain=1e10)
+    scn = replace(default_scenario, pairs=(pair,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="denom_power_w must be > 0, got inf"):
+            optimize_scenario(scn, EFFECTUAL)
+    # The cascaded MRC denominators use the finite HRC optimum instead.
+    assert len(optimize_scenario(scn, EFFECTUAL, "cascaded").hrc) == 1
+
+
+def test_each_closed_form_is_solved_once_per_scenario(monkeypatch):
+    calls = []
+
+    def counting_lambert_w0(x):
+        calls.append(x)
+        return lambert_w0(x)
+
+    monkeypatch.setattr(crnoma.optimizer, "lambert_w0", counting_lambert_w0)
+    scn = make_scenario(
+        hrc_gains=(1e-13, 5e-14, 2e-13), mrc_gains=(8e-14, 4e-14, 1e-13), primary_gain=1.5e-15
+    )
+    optima = [
+        optimize_scenario(scn, s, c)
+        for s in (EFFECTUAL, INTERFERENCE)
+        for c in ("nominal", "cascaded")
+    ]
+    # Every optimum is feasible, so each solve reaches lambert_w0 once.
+    assert all(r.feasible for o in optima for r in o.hrc + o.mrc)
+    n = len(scn.pairs)
+    # HRC once per state, MRC once per state and coupling.
+    assert len(calls) == 2 * n + 2 * 2 * n
+    # The sweeps in the benchmark's order reuse those solves.
+    for state in (EFFECTUAL, INTERFERENCE):
+        for device in ("hrc", "mrc"):
+            for optimized in (False, True):
+                coupling = "cascaded" if device == "mrc" else "nominal"
+                run_sweep(scn, state, device, optimized, coupling)
+    assert len(calls) == 2 * n + 2 * 2 * n
+
+
+def test_memo_is_exact_under_concurrent_calls(default_scenario):
+    """Threads racing to fill one scenario's memo all see the serial results."""
+    calls = [(fn, args) for fn, args in MEMO_CALLS if fn is optimize_scenario or args[2]]
+    serial = [repr(fn(replace(default_scenario), *args)) for fn, args in calls]
+    wrong = []
+
+    def worker(scn, seed, barrier):
+        order = list(range(len(calls)))
+        random.Random(seed).shuffle(order)
+        barrier.wait(timeout=10.0)
+        for i in order:
+            fn, args = calls[i]
+            if repr(fn(scn, *args)) != serial[i]:
+                wrong.append((seed, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_ in range(10):
+            scn = replace(default_scenario)
+            barrier = threading.Barrier(8)
+            threads = [
+                threading.Thread(target=worker, args=(scn, 8 * round_ + k, barrier))
+                for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
 def test_scenario_rejects_grid_value_outside_probability(default_scenario):
     # Checked when the Scenario is built, so no sweep can see such a grid.
     for bad in (1.5, math.nan):
@@ -572,6 +762,24 @@ def test_library_built_scenario_checks_unit_mode(default_scenario, mode):
         replace(default_scenario, unit_mode=mode)
     assert str(err.value) == f"unit_mode: must be one of ('watt', 'dbm'), got {mode!r}"
     assert replace(default_scenario, unit_mode="dbm").unit_mode == "dbm"
+
+
+@pytest.mark.parametrize(
+    "change, field, message",
+    [
+        ({"pairs": ()}, "devices", "must hold at least one device pair"),
+        ({"sweep_grid": ()}, "sweep", "grid must hold at least one p_x value"),
+    ],
+    ids=["pairs", "sweep_grid"],
+)
+def test_library_built_scenario_rejects_empty_pairs_and_grid(
+    default_scenario, change, field, message
+):
+    # Without the check, a sweep divides by zero pairs and validation reads grid[0].
+    with pytest.raises(ConfigError) as err:
+        replace(default_scenario, **change)
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {message}"
 
 
 def test_null_label_means_unnamed():
