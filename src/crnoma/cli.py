@@ -191,6 +191,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 
+def _trial_count(text: str) -> int:
+    """argparse type for ``--trials``: an int >= 1, so 0 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crnoma",
@@ -233,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="run the built-in validation suites")
     validate.add_argument("scenario", nargs="?")
     validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument("--trials", type=int, default=1000)
+    validate.add_argument("--trials", type=_trial_count, default=1000)
     validate.add_argument("--out", help="also write the report to a file")
     validate.set_defaults(func=_cmd_validate)
 

@@ -49,6 +49,16 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 def _check_state(state: str) -> None:
     if state not in STATES:
         raise ValueError(f"state must be one of {STATES}, got {state!r}")
@@ -75,10 +85,8 @@ class SensingProfile:
     p_detection: float = 0.9
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t_transmit_s) or self.t_transmit_s <= 0.0:
-            raise ValueError(f"t_transmit_s must be > 0, got {self.t_transmit_s!r}")
-        if not math.isfinite(self.t_sense_s) or self.t_sense_s < 0.0:
-            raise ValueError(f"t_sense_s must be >= 0, got {self.t_sense_s!r}")
+        _check_positive("t_transmit_s", self.t_transmit_s)
+        _check_nonnegative("t_sense_s", self.t_sense_s)
         _check_probability("p_inactive", self.p_inactive)
         _check_probability("p_active", self.p_active)
         _check_probability("p_false_alarm", self.p_false_alarm)
@@ -98,12 +106,10 @@ class RadioEnvironment:
     carrier_ghz: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.bandwidth_hz) or self.bandwidth_hz <= 0.0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
+        _check_positive("bandwidth_hz", self.bandwidth_hz)
         if not math.isfinite(self.noise_psd_dbm_hz):
             raise ValueError("noise_psd_dbm_hz must be finite")
-        if not math.isfinite(self.carrier_ghz) or self.carrier_ghz <= 0.0:
-            raise ValueError(f"carrier_ghz must be > 0, got {self.carrier_ghz!r}")
+        _check_positive("carrier_ghz", self.carrier_ghz)
 
     def noise_w(self) -> float:
         """Noise power n_p * b in watts over the full bandwidth."""
@@ -124,14 +130,10 @@ class DevicePair:
     mrc_gain: float
 
     def __post_init__(self) -> None:
-        for name in ("hrc_power_w", "mrc_power_w"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        for name in ("hrc_gain", "mrc_gain"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+        _check_nonnegative("hrc_power_w", self.hrc_power_w)
+        _check_nonnegative("mrc_power_w", self.mrc_power_w)
+        _check_positive("hrc_gain", self.hrc_gain)
+        _check_positive("mrc_gain", self.mrc_gain)
 
     def sic_ordering_ok(self) -> bool:
         """Whether the received HRC power exceeds the paired MRC power.
@@ -159,10 +161,8 @@ class PrimaryLink:
     gain: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.power_w) or self.power_w < 0.0:
-            raise ValueError(f"power_w must be >= 0, got {self.power_w!r}")
-        if not math.isfinite(self.gain) or self.gain <= 0.0:
-            raise ValueError(f"gain must be > 0, got {self.gain!r}")
+        _check_nonnegative("power_w", self.power_w)
+        _check_positive("gain", self.gain)
 
     def received_w(self) -> float:
         """Interference power P_P * |g_P|^2 landing in SINR denominators."""
@@ -177,10 +177,8 @@ class PowerOverheads:
     sensing_w: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.circuit_w) or self.circuit_w < 0.0:
-            raise ValueError(f"circuit_w must be >= 0, got {self.circuit_w!r}")
-        if not math.isfinite(self.sensing_w) or self.sensing_w < 0.0:
-            raise ValueError(f"sensing_w must be >= 0, got {self.sensing_w!r}")
+        _check_nonnegative("circuit_w", self.circuit_w)
+        _check_nonnegative("sensing_w", self.sensing_w)
         if self.circuit_w + self.sensing_w <= 0.0:
             raise ValueError("circuit_w + sensing_w must be > 0")
 
@@ -214,10 +212,7 @@ class MetricPoint:
 
 def duty_factor(sensing: SensingProfile) -> float:
     """Fraction of each frame spent transmitting: t_t / (t_t + t_se)."""
-    total = sensing.t_transmit_s + sensing.t_sense_s
-    if total <= 0.0:
-        raise ValueError("t_transmit_s + t_sense_s must be > 0")
-    return sensing.t_transmit_s / total
+    return sensing.t_transmit_s / (sensing.t_transmit_s + sensing.t_sense_s)
 
 
 def _detection_term(sensing: SensingProfile, state: str) -> float:
@@ -256,15 +251,22 @@ def _pair_rates(
     from ``pairs``, all in pair order.  D is the base denominator
     (``_base_denominator_w``), plus the paired HRC's received power for an
     MRC device.  ``optimizer.optimize_scenario`` writes the same MRC
-    denominator for the optimum's own link.
+    denominator for the optimum's own link.  An S / D that overflows to
+    inf (or is NaN) raises ValueError naming the device and pair index.
     """
     base = _base_denominator_w(env, primary)
     if device == HRC:
-        return [math.log2(1.0 + hp * p.hrc_gain / base) for p, hp in zip(pairs, hrc_powers)]
-    return [
-        math.log2(1.0 + mp * p.mrc_gain / (base + hp * p.hrc_gain))
-        for p, hp, mp in zip(pairs, hrc_powers, mrc_powers)
-    ]
+        ratios = [hp * p.hrc_gain / base for p, hp in zip(pairs, hrc_powers)]
+    else:
+        ratios = [
+            mp * p.mrc_gain / (base + hp * p.hrc_gain)
+            for p, hp, mp in zip(pairs, hrc_powers, mrc_powers)
+        ]
+    for index, ratio in enumerate(ratios):
+        # log2(1 + S / D) is finite exactly when S / D is (NaN fails too).
+        if not ratio < math.inf:
+            raise ValueError(f"{device} pair {index}: S/D = {ratio!r} is not finite")
+    return [math.log2(1.0 + ratio) for ratio in ratios]
 
 
 def throughput(
@@ -300,19 +302,14 @@ def energy_efficiency(
     overheads: PowerOverheads,
 ) -> float:
     """Throughput over total consumed power (transmit + circuit + sensing)."""
-    if throughput_bps < 0.0:
-        raise ValueError(f"throughput_bps must be >= 0, got {throughput_bps!r}")
+    _check_nonnegative("throughput_bps", throughput_bps)
     return throughput_bps / _consumed_power_w(tx_power_w, overheads)
 
 
 def _consumed_power_w(tx_power_w: float, overheads: PowerOverheads) -> float:
     """The energy-efficiency denominator tx + circuit + sensing, checked."""
-    if not math.isfinite(tx_power_w) or tx_power_w < 0.0:
-        raise ValueError(f"tx_power_w must be >= 0, got {tx_power_w!r}")
-    total = tx_power_w + overheads.total_w
-    if total <= 0.0:
-        raise ValueError("total consumed power must be > 0")
-    return total
+    _check_nonnegative("tx_power_w", tx_power_w)
+    return tx_power_w + overheads.total_w
 
 
 def improvement_percent(original: float, optimized: float) -> float:
@@ -321,8 +318,6 @@ def improvement_percent(original: float, optimized: float) -> float:
     100 * (optimized - original) / optimized; this is the convention that
     reproduces the reference improvement figures.
     """
-    if not math.isfinite(optimized) or optimized <= 0.0:
-        raise ValueError(f"optimized must be > 0, got {optimized!r}")
-    if not math.isfinite(original) or original < 0.0:
-        raise ValueError(f"original must be >= 0, got {original!r}")
+    _check_positive("optimized", optimized)
+    _check_nonnegative("original", original)
     return 100.0 * (optimized - original) / optimized

@@ -30,6 +30,8 @@ from .metrics import (
     DevicePair,
     PowerOverheads,
     _base_denominator_w,
+    _check_nonnegative,
+    _check_positive,
     _check_state,
     _kappa_b,
 )
@@ -66,10 +68,8 @@ class OptProblem:
     overheads: PowerOverheads
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gain) or self.gain <= 0.0:
-            raise ValueError(f"gain must be > 0, got {self.gain!r}")
-        if not math.isfinite(self.denom_power_w) or self.denom_power_w <= 0.0:
-            raise ValueError(f"denom_power_w must be > 0, got {self.denom_power_w!r}")
+        _check_positive("gain", self.gain)
+        _check_positive("denom_power_w", self.denom_power_w)
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ class OptResult:
 def ee_of_power(power_w: float, problem: OptProblem) -> float:
     """Single-device energy efficiency at a candidate transmit power,
     on the normalized curve kappa * b = 1."""
-    if not math.isfinite(power_w) or power_w < 0.0:
-        raise ValueError(f"power_w must be >= 0, got {power_w!r}")
+    _check_nonnegative("power_w", power_w)
     rate = math.log2(1.0 + power_w * problem.gain / problem.denom_power_w)
     return rate / (power_w + problem.overheads.total_w)
 
@@ -261,8 +260,7 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
     # OptProblem's denominator check, made without building one per device.
-    if not 0.0 < base < math.inf:
-        raise ValueError(f"denom_power_w must be > 0, got {base!r}")
+    _check_positive("denom_power_w", base)
     overhead = scenario.overheads.total_w
     kappa_b = _kappa_b(scenario.sensing, scenario.env, state)
     pairs = scenario.pairs
@@ -274,7 +272,6 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     mrc = []
     for pair, hrc_power in zip(pairs, _coupled_hrc_powers(pairs, hrc, coupling)):
         mrc_denom = base + hrc_power * pair.hrc_gain
-        if not 0.0 < mrc_denom < math.inf:
-            raise ValueError(f"denom_power_w must be > 0, got {mrc_denom!r}")
+        _check_positive("denom_power_w", mrc_denom)
         mrc.append(_closed_form(pair.mrc_gain, mrc_denom, overhead, kappa_b, lambert_w0))
     return memo.setdefault((state, coupling), ScenarioOptima(hrc=hrc, mrc=tuple(mrc)))

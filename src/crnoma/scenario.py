@@ -28,6 +28,7 @@ from .metrics import (
     RadioEnvironment,
     SensingProfile,
     _check_device,
+    _check_positive,
     _check_probability,
     _check_state,
     _consumed_power_w,
@@ -288,8 +289,7 @@ def _resolve_gains(
         raise ConfigError(section, "either explicit gains or distances are required")
     if gains is not None:
         for i, g in enumerate(gains):
-            if g <= 0.0 or not math.isfinite(g):
-                raise ConfigError(f"{section}[{i}]", f"gain must be > 0, got {g!r}")
+            _named(f"{section}[{i}]", _check_positive, "gain", g)
         return gains
 
     def gain_at(distance_m: float) -> float:

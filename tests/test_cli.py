@@ -13,6 +13,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import crnoma.scenario
+from crnoma import throughput
 from crnoma.cli import main
 
 EXACT_SCENARIO = """
@@ -287,6 +288,14 @@ def test_validate_default_passes(capsys):
     assert "reference_ee_hrc_interference" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_validate_trials_below_one_is_usage_error(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--trials", trials])
+    assert exc.value.code == 2
+    assert f"argument --trials: must be >= 1, got {trials}\n" in capsys.readouterr().err
+
+
 def test_validate_is_reproducible(capsys):
     main(["validate", "--trials", "40", "--seed", "7"])
     first = capsys.readouterr().out
@@ -471,6 +480,28 @@ def test_overflowing_power_sum_is_named_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "domain error: sum of the 5 pairs' hrc transmit powers overflows to inf\n"
     )
+
+
+def test_overflowing_sinr_is_named_domain_error(tmp_path, capsys):
+    # A 1e300 W HRC power over a -1000 dBm/Hz noise floor: S/D overflows.
+    text = crnoma.scenario.default_scenario_text()
+    for old, new in (
+        ("hrc_power: 0.7", "hrc_power: 1.0e+300"),
+        ("noise_psd_dbm_hz: -174.0", "noise_psd_dbm_hz: -1000.0"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    message = "hrc pair 0: S/D = inf is not finite"
+    scenario = crnoma.scenario.load_scenario(text)
+    for call in (
+        lambda: crnoma.scenario.run_sweep(scenario, "effectual", "hrc", False),
+        lambda: throughput(scenario.sensing, scenario.env, scenario.pairs, "hrc"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    assert _probe_exit(tmp_path, text) == 3
+    assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 def test_pathloss_gain_overflow_is_usage_error(capsys):

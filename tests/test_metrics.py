@@ -1,25 +1,34 @@
 """Link metrics: throughputs, EE, improvement percentage."""
 
+import math
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+import crnoma.optimizer
 from crnoma import (
     EFFECTUAL,
     HRC,
     MRC,
     DevicePair,
     MetricPoint,
+    OptProblem,
     PowerOverheads,
     PrimaryLink,
     RadioEnvironment,
     SensingProfile,
     duty_factor,
+    ee_of_power,
     energy_efficiency,
     improvement_percent,
+    load_scenario,
     optimize_scenario,
     run_sweep,
     throughput,
 )
+from crnoma.scenario import default_scenario_text
+from conftest import make_scenario
 
 # Reference EE operating points: throughput bps / tx watts under 99+1 W
 # overheads, and the published improvement-percentage pairs.
@@ -188,6 +197,133 @@ def test_energy_efficiency_errors():
         PowerOverheads(circuit_w=0.0, sensing_w=0.0)
 
 
+def test_energy_efficiency_rejects_non_finite_throughput():
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError) as err:
+            energy_efficiency(value, 0.7, OVERHEADS)
+        assert str(err.value) == f"throughput_bps must be >= 0, got {value!r}"
+
+
+def _explicit_hrc_gain(value):
+    line = "  hrc_distances_m: [1200.0, 1400.0, 1600.0, 1800.0, 2000.0]\n"
+    text = default_scenario_text()
+    assert line in text
+    load_scenario(text.replace(line, f"  hrc_gains: [{value!r}, 1.0, 1.0, 1.0, 1.0]\n"))
+
+
+def _optimize_with_base_denominator(value):
+    with mock.patch.object(crnoma.optimizer, "_base_denominator_w", return_value=value):
+        optimize_scenario(make_scenario(), EFFECTUAL)
+
+
+def _optimize_with_mrc_denominator(value):
+    # D = 1.0 + (value - 1.0) * 1.0 is exactly value for each value tested.
+    with mock.patch.object(crnoma.optimizer, "_base_denominator_w", return_value=1.0), \
+            mock.patch.object(crnoma.optimizer, "_coupled_hrc_powers", return_value=[value - 1.0]):
+        optimize_scenario(make_scenario(hrc_gains=(1.0,), mrc_gains=(1.0,)), EFFECTUAL)
+
+
+_UNIT_PROBLEM = OptProblem(gain=1.0, denom_power_w=1.0, overheads=OVERHEADS)
+_POSITIVE = (-1.0, math.nan, math.inf, 0.0)
+_NONNEGATIVE = (-1.0, math.nan, math.inf)
+
+# Every site of the finite-and-sign rule: (call with the value, exact message
+# before ", got <value>", values it rejects).
+SIGN_SITES = {
+    "SensingProfile.t_transmit_s": (
+        lambda v: SensingProfile(t_transmit_s=v, t_sense_s=1.0),
+        "t_transmit_s must be > 0",
+        _POSITIVE,
+    ),
+    "SensingProfile.t_sense_s": (
+        lambda v: SensingProfile(t_transmit_s=1.0, t_sense_s=v),
+        "t_sense_s must be >= 0",
+        _NONNEGATIVE,
+    ),
+    "RadioEnvironment.bandwidth_hz": (
+        lambda v: RadioEnvironment(bandwidth_hz=v, noise_psd_dbm_hz=0.0, carrier_ghz=5.0),
+        "bandwidth_hz must be > 0",
+        _POSITIVE,
+    ),
+    "RadioEnvironment.carrier_ghz": (
+        lambda v: RadioEnvironment(bandwidth_hz=1.0, noise_psd_dbm_hz=0.0, carrier_ghz=v),
+        "carrier_ghz must be > 0",
+        _POSITIVE,
+    ),
+    "DevicePair.hrc_power_w": (
+        lambda v: pair(hrc_power=v), "hrc_power_w must be >= 0", _NONNEGATIVE
+    ),
+    "DevicePair.mrc_power_w": (
+        lambda v: pair(mrc_power=v), "mrc_power_w must be >= 0", _NONNEGATIVE
+    ),
+    "DevicePair.hrc_gain": (lambda v: pair(hrc_gain=v), "hrc_gain must be > 0", _POSITIVE),
+    "DevicePair.mrc_gain": (lambda v: pair(mrc_gain=v), "mrc_gain must be > 0", _POSITIVE),
+    "PrimaryLink.power_w": (
+        lambda v: PrimaryLink(power_w=v, gain=1.0), "power_w must be >= 0", _NONNEGATIVE
+    ),
+    "PrimaryLink.gain": (
+        lambda v: PrimaryLink(power_w=1.0, gain=v), "gain must be > 0", _POSITIVE
+    ),
+    "PowerOverheads.circuit_w": (
+        lambda v: PowerOverheads(circuit_w=v, sensing_w=1.0),
+        "circuit_w must be >= 0",
+        _NONNEGATIVE,
+    ),
+    "PowerOverheads.sensing_w": (
+        lambda v: PowerOverheads(circuit_w=1.0, sensing_w=v),
+        "sensing_w must be >= 0",
+        _NONNEGATIVE,
+    ),
+    # NaN and inf throughput are rejected since the check became the shared
+    # validator; test_energy_efficiency_rejects_non_finite_throughput pins them.
+    "energy_efficiency.throughput_bps": (
+        lambda v: energy_efficiency(v, 0.7, OVERHEADS), "throughput_bps must be >= 0", (-1.0,)
+    ),
+    "energy_efficiency.tx_power_w": (
+        lambda v: energy_efficiency(1.0, v, OVERHEADS), "tx_power_w must be >= 0", _NONNEGATIVE
+    ),
+    "improvement_percent.optimized": (
+        lambda v: improvement_percent(1.0, v), "optimized must be > 0", _POSITIVE
+    ),
+    "improvement_percent.original": (
+        lambda v: improvement_percent(v, 1.0), "original must be >= 0", _NONNEGATIVE
+    ),
+    "OptProblem.gain": (
+        lambda v: OptProblem(gain=v, denom_power_w=1.0, overheads=OVERHEADS),
+        "gain must be > 0",
+        _POSITIVE,
+    ),
+    "OptProblem.denom_power_w": (
+        lambda v: OptProblem(gain=1.0, denom_power_w=v, overheads=OVERHEADS),
+        "denom_power_w must be > 0",
+        _POSITIVE,
+    ),
+    "ee_of_power.power_w": (
+        lambda v: ee_of_power(v, _UNIT_PROBLEM), "power_w must be >= 0", _NONNEGATIVE
+    ),
+    "optimize_scenario.base_denominator": (
+        _optimize_with_base_denominator, "denom_power_w must be > 0", _POSITIVE
+    ),
+    "optimize_scenario.mrc_denominator": (
+        _optimize_with_mrc_denominator, "denom_power_w must be > 0", _POSITIVE
+    ),
+    "load_scenario.explicit_gain": (
+        _explicit_hrc_gain, "devices.hrc[0]: gain must be > 0", _POSITIVE
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [(site, value) for site, (_, _, values) in SIGN_SITES.items() for value in values],
+)
+def test_finite_and_sign_messages(site, value):
+    call, message, _ = SIGN_SITES[site]
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{message}, got {value!r}"
+
+
 def test_improvement_reference_points():
     assert improvement_percent(5.0, 5.0) == 0.0
     assert improvement_percent(1.864e5, 7.157e5) == pytest.approx(
@@ -205,6 +341,15 @@ def test_improvement_errors():
         improvement_percent(1.0, -2.0)
     with pytest.raises(ValueError):
         improvement_percent(-1.0, 2.0)
+
+
+def test_non_finite_sinr_raises_naming_device_and_pair():
+    # 1e308 W at gain 1e10 overflows both S and the MRC's D: inf / inf is NaN.
+    huge = pair(hrc_power=1e308, mrc_power=1e308, hrc_gain=1e10, mrc_gain=1e10)
+    for device, ratio in ((HRC, "inf"), (MRC, "nan")):
+        with pytest.raises(ValueError) as err:
+            throughput(sensing(), UNIT_ENV, [pair(), huge], device)
+        assert str(err.value) == f"{device} pair 1: S/D = {ratio} is not finite"
 
 
 def test_sic_ordering_ok():
