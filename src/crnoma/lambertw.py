@@ -69,11 +69,13 @@ def lambert_w0(x: float) -> float:
     else:
         w = math.log1p(x)
 
-    tol = _RESIDUAL_TOL * max(1.0, abs(x))
+    # x >= -1/e here, so this is _RESIDUAL_TOL * max(1, |x|).
+    tol = _RESIDUAL_TOL * x if x > 1.0 else _RESIDUAL_TOL
+    exp = math.exp
     for _ in range(_MAX_ITER):
-        ew = math.exp(w)
+        ew = exp(w)
         residual = w * ew - x
-        if abs(residual) <= tol:
+        if -tol <= residual <= tol:
             break
         wp1 = w + 1.0
         # Halley step; the correction term keeps it stable near w = -1.

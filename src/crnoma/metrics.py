@@ -293,7 +293,14 @@ def throughput(
     mrc_powers = [p.mrc_power_w for p in pairs]
     for rate in _pair_rates(env, pairs, hrc_powers, mrc_powers, device, primary):
         total += rate
-    return kappa_b * total
+    # Each rate is finite, so only the prefactor's product can overflow.
+    summed = kappa_b * total
+    if summed == math.inf:
+        raise ValueError(
+            f"{device} throughput overflows to inf: prefactor {kappa_b!r} Hz "
+            f"times rate sum {total!r}"
+        )
+    return summed
 
 
 def energy_efficiency(

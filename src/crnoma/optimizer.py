@@ -113,34 +113,27 @@ def _closed_form(
     """
     numerator = c * g2 - d
     arg = (numerator / d) * _INV_E
+    # Positional fields cost less than keywords; there is one record per pair, device and state.
     if numerator <= 0.0:
         return OptResult(
-            power_w=math.nan,
-            ee_bps_per_watt=math.nan,
-            feasible=False,
-            lambert_arg=arg,
-            reason="overhead-driven term C*g2 does not exceed the denominator power",
+            math.nan,
+            math.nan,
+            False,
+            arg,
+            "overhead-driven term C*g2 does not exceed the denominator power",
         )
     if arg < -_INV_E:
         return OptResult(
-            power_w=math.nan,
-            ee_bps_per_watt=math.nan,
-            feasible=False,
-            lambert_arg=arg,
-            reason="Lambert argument below the principal-branch domain",
+            math.nan, math.nan, False, arg, "Lambert argument below the principal-branch domain"
         )
     w = lambert_fn(arg)
     power = numerator / (w * g2) - d / g2
     if not math.isfinite(power) or power <= 0.0:
         return OptResult(
-            power_w=math.nan,
-            ee_bps_per_watt=math.nan,
-            feasible=False,
-            lambert_arg=arg,
-            reason=f"closed form yielded non-positive power {power!r}",
+            math.nan, math.nan, False, arg, f"closed form yielded non-positive power {power!r}"
         )
     ee = kappa_b * math.log2(1.0 + power * g2 / d) / (power + c)
-    return OptResult(power_w=power, ee_bps_per_watt=ee, feasible=True, lambert_arg=arg)
+    return OptResult(power, ee, True, arg)
 
 
 def optimal_power(
@@ -189,27 +182,27 @@ def numerical_argmax(problem: OptProblem) -> float:
                 f"{_ORACLE_P_CAP_W:.0e} W; problem appears unbounded"
             )
 
+    invphi = _INVPHI
+    rel_width = _ORACLE_REL_WIDTH
     a, b = 0.0, hi
-    c = b - (b - a) * _INVPHI
-    d = a + (b - a) * _INVPHI
+    c = b - (b - a) * invphi
+    d = a + (b - a) * invphi
     fc, fd = ee(c), ee(d)
-    # 0 <= a <= b holds throughout, so b is max(abs(a), abs(b)).
-    while (b - a) > _ORACLE_REL_WIDTH * b:
-        left = fc > fd
-        if left:
+    # 0 <= a <= b holds throughout, so b is max(abs(a), abs(b)).  Probes
+    # stay in [0, hi] with hi <= 1e12, so each new probe is finite.
+    while (b - a) > rel_width * b:
+        if fc > fd:
             b, d, fd = d, c, fc
-            p = b - (b - a) * _INVPHI
+            c = b - (b - a) * invphi
+            if c < 0.0:
+                raise ValueError(f"power_w must be >= 0, got {c!r}")
+            fc = log2(1.0 + c * gain / denom) / (c + overhead)
         else:
             a, c, fc = c, d, fd
-            p = a + (b - a) * _INVPHI
-        # Probes stay in [0, hi] with hi <= 1e12, so p is finite.
-        if p < 0.0:
-            raise ValueError(f"power_w must be >= 0, got {p!r}")
-        f = log2(1.0 + p * gain / denom) / (p + overhead)
-        if left:
-            c, fc = p, f
-        else:
-            d, fd = p, f
+            d = a + (b - a) * invphi
+            if d < 0.0:
+                raise ValueError(f"power_w must be >= 0, got {d!r}")
+            fd = log2(1.0 + d * gain / denom) / (d + overhead)
     return 0.5 * (a + b)
 
 

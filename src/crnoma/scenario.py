@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from typing import Callable, Mapping, Optional, Tuple, TypeVar
 
@@ -101,6 +101,21 @@ def _named(field: str, build: Callable[..., T], *args, **kwargs) -> T:
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(field, str(exc)) from None
+
+
+def _named_map(section: str, build: Callable[..., T], *columns) -> Tuple[T, ...]:
+    """``tuple(map(build, *columns))``; a ValueError at item i is renamed ``section[i]``.
+
+    The name is formatted only when an item fails: a wide scenario runs
+    these loops thousands of times per load.
+    """
+    built = []
+    try:
+        for item in map(build, *columns):
+            built.append(item)
+    except ValueError as exc:
+        raise ConfigError(f"{section}[{len(built)}]", str(exc)) from None
+    return tuple(built)
 
 
 @dataclass(frozen=True)
@@ -213,9 +228,9 @@ def _section(doc: Mapping, name: str, optional: bool = False) -> Mapping:
     return value
 
 
-def _coerce_number(field: str, value) -> float:
+def _coerce_number(value) -> float:
     if isinstance(value, bool):
-        raise ConfigError(field, f"expected a number, got {value!r}")
+        raise ValueError(f"expected a number, got {value!r}")
     if isinstance(value, (int, float)):
         return float(value)
     # YAML 1.1 floats need a signed exponent; "1.0e6" arrives as a string.
@@ -224,7 +239,7 @@ def _coerce_number(field: str, value) -> float:
             return float(value)
         except ValueError:
             pass
-    raise ConfigError(field, f"expected a number, got {value!r}")
+    raise ValueError(f"expected a number, got {value!r}")
 
 
 def _number(table: Mapping, section: str, key: str, default=None) -> float:
@@ -232,7 +247,7 @@ def _number(table: Mapping, section: str, key: str, default=None) -> float:
         if default is not None:
             return default
         raise ConfigError(f"{section}.{key}", "missing required value")
-    return _coerce_number(f"{section}.{key}", table[key])
+    return _named(f"{section}.{key}", _coerce_number, table[key])
 
 
 def _number_list(table: Mapping, section: str, key: str) -> Optional[Tuple[float, ...]]:
@@ -241,9 +256,7 @@ def _number_list(table: Mapping, section: str, key: str) -> Optional[Tuple[float
     value = table[key]
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{section}.{key}", "expected a non-empty list of numbers")
-    return tuple(
-        _coerce_number(f"{section}.{key}[{i}]", item) for i, item in enumerate(value)
-    )
+    return _named_map(f"{section}.{key}", _coerce_number, value)
 
 
 def _power_w(table: Mapping, section: str, key: str, unit_mode: str) -> float:
@@ -288,14 +301,13 @@ def _resolve_gains(
     if gains is None and distances is None:
         raise ConfigError(section, "either explicit gains or distances are required")
     if gains is not None:
-        for i, g in enumerate(gains):
-            _named(f"{section}[{i}]", _check_positive, "gain", g)
+        _named_map(section, partial(_check_positive, "gain"), gains)
         return gains
 
     def gain_at(distance_m: float) -> float:
         return power_gain(pathloss_average_db(distance_m, carrier_ghz, los_probability, combine))
 
-    resolved = tuple(_named(f"{section}[{i}]", gain_at, d) for i, d in enumerate(distances))
+    resolved = _named_map(section, gain_at, distances)
     # Each distinct range note once per section, in first-seen order.
     notes.extend(
         dict.fromkeys(
@@ -394,17 +406,9 @@ def load_scenario(text: str) -> Scenario:
             f"got {len(hrc_gains)} vs {len(mrc_gains)}",
         )
 
-    pairs = []
-    for i, (hrc_gain, mrc_gain) in enumerate(zip(hrc_gains, mrc_gains)):
-        pair = _named(
-            f"devices[{i}]",
-            DevicePair,
-            hrc_power_w=hrc_power,
-            mrc_power_w=mrc_power,
-            hrc_gain=hrc_gain,
-            mrc_gain=mrc_gain,
-        )
-        pairs.append(pair)
+    # Positional fields cost less than keywords, and there is one build per pair.
+    pairs = _named_map("devices", partial(DevicePair, hrc_power, mrc_power), hrc_gains, mrc_gains)
+    for pair in pairs:
         if not pair.sic_ordering_ok():
             notes.append(
                 "devices[pair]: received HRC power does not exceed the paired MRC power "
@@ -448,7 +452,7 @@ def load_scenario(text: str) -> Scenario:
     return Scenario(
         env=env,
         sensing=sensing,
-        pairs=tuple(pairs),
+        pairs=pairs,
         primary=primary,
         overheads=overheads,
         sweep_grid=grid,
@@ -567,6 +571,18 @@ def run_sweep(
         for r in rates:
             total += pb * r
         throughputs.append(total / n)
+    # Overflow checks, once per series.  Every pb is at most the bandwidth
+    # and every rate at most 1024 (log2 of a finite float), so every mean
+    # is below 2048 * bandwidth; only when that bound over ``consumed``
+    # overflows are the means scanned.  The largest mean gives the largest EE.
+    if bandwidth * 2048.0 / consumed == math.inf:
+        peak = max(throughputs)
+        if peak == math.inf:
+            raise ValueError(f"{device} mean throughput of the {n} pairs overflows to inf")
+        if peak / consumed == math.inf:
+            raise ValueError(
+                f"{device} energy efficiency overflows to inf: {peak!r} bps over {consumed!r} W"
+            )
 
     return SweepSeries(
         state=state,

@@ -92,3 +92,50 @@ def reference_argmax(problem):
             d = a + (b - a) * invphi
             fd = ee_of_power(d, problem)
     return 0.5 * (a + b)
+
+
+def reference_lambert_w0(x):
+    """``lambert_w0`` as first written, for bit-identity checks of faster versions.
+
+    The same start, Halley steps, stop test and iteration cap, with
+    ``abs(residual) <= 1e-14 * max(1, |x|)`` spelled out; arguments above
+    1e50 take the same log-form Newton steps.
+    """
+    branch_point = -math.exp(-1.0)
+    if not math.isfinite(x):
+        raise ValueError(f"lambert_w0 requires finite input, got {x!r}")
+    if x < branch_point:
+        if x < branch_point - 1e-12:
+            raise ValueError(f"lambert_w0 undefined below the branch point -1/e: got {x!r}")
+        x = branch_point
+    if x == branch_point:
+        return -1.0
+    if x == 0.0:
+        return 0.0
+    if x > 1e50:
+        log_x = math.log(x)
+        l2 = math.log(log_x)
+        w = log_x - l2 + l2 / log_x
+        tol = 1e-14 * log_x
+        for _ in range(50):
+            residual = w + math.log(w) - log_x
+            if abs(residual) <= tol:
+                return w
+            w -= residual * w / (w + 1.0)
+        raise ValueError(f"lambert_w0({x!r}) did not converge in 50 iterations")
+    if x < -0.25:
+        p = math.sqrt(2.0 * (math.e * x + 1.0))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    else:
+        w = math.log1p(x)
+    tol = 1e-14 * max(1.0, abs(x))
+    for _ in range(50):
+        ew = math.exp(w)
+        residual = w * ew - x
+        if abs(residual) <= tol:
+            return w
+        wp1 = w + 1.0
+        w -= residual / (ew * wp1 - (w + 2.0) * residual / (2.0 * wp1))
+        if w < -1.0:
+            w = -1.0 + 1e-16
+    raise ValueError(f"lambert_w0({x!r}) did not converge in 50 iterations")

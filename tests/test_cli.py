@@ -504,6 +504,29 @@ def test_overflowing_sinr_is_named_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
+def test_overflowing_throughput_is_named_domain_error(tmp_path, capsys):
+    # Every S/D is finite, but a 1e306 Hz bandwidth times the rate sum is not.
+    text = crnoma.scenario.default_scenario_text()
+    for old, new in (
+        ("bandwidth_hz: 1.0e+6", "bandwidth_hz: 1.0e+306"),
+        ("noise_psd_dbm_hz: -174.0", "noise_psd_dbm_hz: -3000.0"),
+        ("hrc_power: 0.7", "hrc_power: 1.0e+300"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    scenario = crnoma.scenario.load_scenario(text)
+    message = "hrc mean throughput of the 5 pairs overflows to inf"
+    for optimized in (False, True):
+        with pytest.raises(ValueError) as err:
+            crnoma.scenario.run_sweep(scenario, "effectual", "hrc", optimized)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        throughput(scenario.sensing, scenario.env, scenario.pairs, "hrc")
+    assert str(err.value).startswith("hrc throughput overflows to inf: prefactor 2.25e+305 Hz")
+    assert _probe_exit(tmp_path, text) == 3
+    assert capsys.readouterr().err == f"domain error: {message}\n"
+
+
 def test_pathloss_gain_overflow_is_usage_error(capsys):
     assert main(["pathloss", "--d", "1e-300", "--f", "5"]) == 2
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from crnoma import BRANCH_POINT, lambert_w0
 from crnoma import lambertw
+from conftest import reference_lambert_w0
 
 # Omega constant W(1), frozen from an in-repo bisection oracle (see
 # test_reference_value_matches_bisection_oracle) and 50-digit arithmetic.
@@ -100,3 +101,30 @@ def test_iteration_cap_raises(monkeypatch):
         lambert_w0(1e3)
     with pytest.raises(ValueError, match="did not converge"):
         lambert_w0(1e60)
+
+
+def _outcome(fn, x):
+    """repr of fn(x), or the text of the ValueError it raises."""
+    try:
+        return repr(fn(x))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_bit_identical_to_reference_lambert_w0():
+    # Both signs log-spaced from 1e-300 to the largest float, 2,000 steps
+    # of 1e-15 above -1/e, a linear sweep over [-0.367, 5], and the edges.
+    magnitudes = [10.0 ** (k / 10.0) for k in range(-3000, 3083)] + [sys.float_info.max]
+    grid = (
+        magnitudes
+        + [-m for m in magnitudes]
+        + [BRANCH_POINT + i * 1e-15 for i in range(1, 2001)]
+        + [-0.367 + i * (5.367 / 500) for i in range(501)]
+        + [0.0, -0.0, 1.0, BRANCH_POINT, BRANCH_POINT - 1e-13, BRANCH_POINT - 1e-9]
+        + [1e50, math.nextafter(1e50, math.inf), math.nan, math.inf, -math.inf]
+    )
+    assert len(grid) > 14_000
+    mismatches = [
+        x for x in grid if _outcome(lambert_w0, x) != _outcome(reference_lambert_w0, x)
+    ]
+    assert mismatches == []

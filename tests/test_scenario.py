@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import re
 import sys
 import threading
 import warnings
@@ -803,6 +804,10 @@ def test_gain_overflow_from_tiny_distance_names_field():
 _DEFAULT_DOC = yaml.safe_load(default_scenario_text())
 
 
+# An edit value that removes the key instead of setting it.
+_DROP = object()
+
+
 def _edited(*edits):
     """The bundled scenario with each ("section.key", value) edit applied."""
     doc = copy.deepcopy(_DEFAULT_DOC)
@@ -811,7 +816,10 @@ def _edited(*edits):
         table = doc
         for section in sections:
             table = table.setdefault(section, {})
-        table[key] = value
+        if value is _DROP:
+            del table[key]
+        else:
+            table[key] = value
     return yaml.safe_dump(doc)
 
 
@@ -899,6 +907,21 @@ SITE_ERRORS = {
         [("devices.mrc_distances_m", [1300.0, 1500.0, -5.0, 1900.0, 2000.0])],
         "devices.mrc[2]: distance_m must be finite and > 0, got -5.0",
     ),
+    "hrc_distance_not_a_number": (
+        [("devices.hrc_distances_m", [1200.0, 1400.0, "x", 1800.0, 2000.0])],
+        "devices.hrc_distances_m[2]: expected a number, got 'x'",
+    ),
+    "mrc_distance_overflow": (
+        [("devices.mrc_distances_m", [1300.0, 1500.0, 1700.0, 1e-300, 2000.0])],
+        "devices.mrc[3]: pathloss -8763.573689900271 dB overflows as a power gain",
+    ),
+    "hrc_gain_not_positive": (
+        [
+            ("devices.hrc_distances_m", _DROP),
+            ("devices.hrc_gains", [1e-13, 1e-13, 0.0, 1e-13, 1e-13]),
+        ],
+        "devices.hrc[2]: gain must be > 0, got 0.0",
+    ),
     "primary_distance_overflow": (
         [("primary.distance_m", 1e-300)],
         "primary[0]: pathloss -8763.573689900271 dB overflows as a power gain",
@@ -954,3 +977,21 @@ def test_config_error_text_is_pinned(case):
 @pytest.mark.parametrize("text", ["just a scalar", "- a\n- b\n"])
 def test_non_mapping_document_error_text_is_pinned(text):
     assert _config_error_text(text) == "<document>: top level must be a mapping of sections"
+
+
+def test_overflowing_series_efficiency_raises():
+    # A 1e-200 W transmit power over 1e-300 W of overheads: each mean is
+    # finite (about 4.5e300 bps), its EE is not.
+    tiny = make_scenario(
+        hrc_gains=(1e200,), mrc_gains=(1e-14,), hrc_power_w=1e-200, circuit_w=1e-300, sensing_w=0.0
+    )
+    scn = replace(tiny, env=replace(tiny.env, bandwidth_hz=1e300, noise_psd_dbm_hz=-3000.0))
+    with pytest.raises(ValueError) as err:
+        run_sweep(scn, EFFECTUAL, "hrc", False)
+    assert re.fullmatch(
+        r"hrc energy efficiency overflows to inf: 4\.\d+e\+300 bps over 1e-200 W", str(err.value)
+    )
+    # Past the cheap bound but finite: the means are scanned and the series stands.
+    wide = replace(make_scenario(), env=replace(make_scenario().env, bandwidth_hz=1e306))
+    series = run_sweep(wide, EFFECTUAL, "hrc", False)
+    assert all(math.isfinite(v) for v in series.throughput_bps + series.ee_bps_per_watt)
