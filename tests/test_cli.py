@@ -191,6 +191,25 @@ GOLDEN_SWEEP_SHA256 = {
     ("interference", "mrc", "cascaded"): "0038e4c63dc33e9b1243f7395629199e335a869dbd68eb6c07df764a26f46d51",
 }
 GOLDEN_VALIDATE_SHA256 = "a5069a07c8439b624c60e7730742f9fbb6e63d2ea5a6669637d2a3841983e28f"
+# (text stdout, --out CSV file) of `crnoma optimize` per (state, coupling).
+GOLDEN_OPTIMIZE_SHA256 = {
+    ("effectual", "nominal"): (
+        "9002c8a138d1baa16fb3255edf9ba6721d3590b888b18e7e061016bf570e5224",
+        "6ec7eca1d704352b26cb879466b1e0ffa1492e581441e23a584aa02781df57aa",
+    ),
+    ("effectual", "cascaded"): (
+        "f8aac23c5327b4cc4a91856efabd6e8c27e1731dfb74f9024d1a1b3cf9cd50be",
+        "8b6c3519a489bd852fc60dec419f83021cf95ed81761c5c41759a3a81aad3e43",
+    ),
+    ("interference", "nominal"): (
+        "f4b7b0ff80e13fa1a7e55bfb84596da30619172341638ecdbb0bc72474f57e90",
+        "a49a2c0d67e2a6b7d34c5efc7c20fbfda5d71301faff92fed2d3b07f65c9f531",
+    ),
+    ("interference", "cascaded"): (
+        "ee7d80349ac0b4ea228570d4a52ab302d1598307c30a60227183aca2fdd51aa3",
+        "181b5cabad4650e542be83eff7877d3a61b0b2439ba2275fded5d09752cd7609",
+    ),
+}
 
 
 def _stdout_sha256(capsys, argv):
@@ -209,6 +228,18 @@ def test_validate_bytes_are_golden(capsys, monkeypatch):
     monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
     argv = ["validate", "--trials", "1000", "--seed", "0"]
     assert _stdout_sha256(capsys, argv) == GOLDEN_VALIDATE_SHA256
+
+
+@pytest.mark.parametrize("state, coupling", list(GOLDEN_OPTIMIZE_SHA256))
+def test_optimize_bytes_are_golden(tmp_path, capsys, monkeypatch, state, coupling):
+    monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
+    argv = ["optimize", "--state", state, "--coupling", coupling]
+    text = _stdout_sha256(capsys, argv)
+    out = tmp_path / "optima.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 10 rows to {out}\n"
+    csv = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert (text, csv) == GOLDEN_OPTIMIZE_SHA256[(state, coupling)]
 
 
 def test_optimize_exact_power(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Built-in validation report: pass by default, fail under a corrupted solver."""
 
+import math
+
 import pytest
 
 import crnoma.validation
-from crnoma import lambert_w0, run_validation
+from crnoma import OptResult, lambert_w0, run_validation
 from conftest import reference_argmax
 
 
@@ -62,6 +64,17 @@ def test_corrupted_lambert_fails_stationarity(default_scenario):
     # Unrelated groups keep passing: the corruption is localized.
     assert by_name["lambert_identity_grid"].passed
     assert by_name["reference_ee_hrc_interference"].passed
+
+
+def test_exhausted_draws_fail_both_closed_form_checks(default_scenario, monkeypatch):
+    infeasible = OptResult(math.nan, math.nan, False, -1.0, "forced")
+    monkeypatch.setattr(crnoma.validation, "optimal_power", lambda problem: infeasible)
+    report = run_validation(default_scenario, seed=0, trials=5)
+    assert not report.passed
+    detail = "[only 0 feasible problems in 500 draws]"
+    lines = report.lines()
+    assert f"FAIL  closed_form_vs_oracle: measured inf (limit 1.000000e-06)  {detail}" in lines
+    assert f"FAIL  closed_form_stationarity: measured inf (limit 1.000000e-06)  {detail}" in lines
 
 
 def test_trials_must_be_positive(default_scenario):
