@@ -122,21 +122,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     optima = optimize_scenario(scenario, args.state, args.coupling)
-    header = f"{'pair':>4}  {'device':<6}  {'feasible':<8}  {'p_star_w':>18}  {'ee_bps_per_watt':>18}  {'lambert_arg':>14}"
-    rows = []
-    for device, results in (("hrc", optima.hrc), ("mrc", optima.mrc)):
-        for index, result in enumerate(results):
-            rows.append(
-                (
-                    index,
-                    device,
-                    "yes" if result.feasible else "no",
-                    result.power_w,
-                    result.ee_bps_per_watt,
-                    result.lambert_arg,
-                    result.reason,
-                )
-            )
+    rows = [
+        (index, device, "yes" if result.feasible else "no", result)
+        for device, results in (("hrc", optima.hrc), ("mrc", optima.mrc))
+        for index, result in enumerate(results)
+    ]
     if args.out:
         lines = [
             f"# scenario_hash: {scenario.content_hash()}",
@@ -144,20 +134,24 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             f"# coupling: {args.coupling}",
             "pair,device,feasible,p_star_w,ee_bps_per_watt,lambert_arg",
         ]
-        for index, device, feasible, power, ee, arg, _reason in rows:
-            lines.append(
-                f"{index},{device},{feasible},{_fmt(power)},{_fmt(ee)},{_fmt(arg)}"
-            )
+        lines.extend(
+            f"{index},{device},{feasible},{_fmt(r.power_w)},"
+            f"{_fmt(r.ee_bps_per_watt)},{_fmt(r.lambert_arg)}"
+            for index, device, feasible, r in rows
+        )
         _atomic_write(args.out, "\n".join(lines) + "\n")
         print(f"wrote {len(rows)} rows to {args.out}")
         return EXIT_OK
     print(f"state: {args.state}  coupling: {args.coupling}")
-    print(header)
-    for index, device, feasible, power, ee, arg, reason in rows:
-        note = f"  ({reason})" if reason else ""
+    print(
+        f"{'pair':>4}  {'device':<6}  {'feasible':<8}  {'p_star_w':>18}  "
+        f"{'ee_bps_per_watt':>18}  {'lambert_arg':>14}"
+    )
+    for index, device, feasible, r in rows:
+        note = f"  ({r.reason})" if r.reason else ""
         print(
-            f"{index:>4}  {device:<6}  {feasible:<8}  {_fmt(power):>18}  "
-            f"{_fmt(ee):>18}  {arg:>14.6g}{note}"
+            f"{index:>4}  {device:<6}  {feasible:<8}  {_fmt(r.power_w):>18}  "
+            f"{_fmt(r.ee_bps_per_watt):>18}  {r.lambert_arg:>14.6g}{note}"
         )
     return EXIT_OK
 

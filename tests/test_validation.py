@@ -1,11 +1,12 @@
 """Built-in validation report: pass by default, fail under a corrupted solver."""
 
+import functools
 import math
 
 import pytest
 
 import crnoma.validation
-from crnoma import OptResult, lambert_w0, run_validation
+from crnoma import OptResult, lambert_w0, optimal_power, run_validation
 from conftest import reference_argmax
 
 
@@ -52,11 +53,14 @@ def test_other_seeds_also_pass(default_scenario):
     assert report.trials == 100
 
 
-def test_corrupted_lambert_fails_stationarity(default_scenario):
+def test_corrupted_lambert_fails_stationarity(default_scenario, monkeypatch):
     def skewed(x: float) -> float:
         return lambert_w0(x) * 1.05
 
-    report = run_validation(default_scenario, seed=0, trials=40, lambert_fn=skewed)
+    monkeypatch.setattr(
+        crnoma.validation, "optimal_power", functools.partial(optimal_power, lambert_fn=skewed)
+    )
+    report = run_validation(default_scenario, seed=0, trials=40)
     assert not report.passed
     by_name = {check.name: check for check in report.checks}
     assert not by_name["closed_form_stationarity"].passed
