@@ -255,6 +255,7 @@ def _pair_rates(
     inf (or is NaN) raises ValueError naming the device and pair index.
     """
     base = _base_denominator_w(env, primary)
+    _check_positive("denom_power_w", base)
     if device == HRC:
         ratios = [hp * p.hrc_gain / base for p, hp in zip(pairs, hrc_powers)]
     else:

@@ -232,7 +232,12 @@ def _coerce_number(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            # Only an int can overflow; its digits would swamp the message.
+            digits = len(str(abs(value)))
+            raise ValueError(f"integer too large for a float ({digits} digits)") from None
     # YAML 1.1 floats need a signed exponent; "1.0e6" arrives as a string.
     if isinstance(value, str):
         try:
@@ -319,9 +324,11 @@ def _resolve_gains(
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a YAML scenario document."""
+    # PyYAML's constructors raise a plain ValueError for some scalars, such as
+    # an integer literal over Python's int-to-str digit limit.
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError("<document>", f"YAML parse failure: {exc}") from None
     if not isinstance(doc, Mapping):
         raise ConfigError("<document>", "top level must be a mapping of sections")

@@ -558,6 +558,32 @@ def test_overflowing_throughput_is_named_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
+# A 401-digit integer overflows a float; a 5,000-digit one is over Python's
+# default 4,300-digit int conversion limit, so PyYAML itself rejects it.
+HUGE_INTEGER_SITES = [
+    ("carrier_ghz: 5.0", "carrier_ghz: {}", 401, "env.carrier_ghz"),
+    ("1600.0, 1800.0, 2000.0]", "1600.0, {}, 2000.0]", 401, "devices.hrc_distances_m[3]"),
+    ("power: 50.0", "power: {}", 401, "primary.power"),
+    ("step: 0.01", "step: {}", 401, "sweep.step"),
+    ("carrier_ghz: 5.0", "carrier_ghz: {}", 5000, "<document>"),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, digits, field",
+    [pytest.param(*site, id=f"{site[3]}-{site[2]}") for site in HUGE_INTEGER_SITES],
+)
+def test_huge_integer_literal_is_config_error(tmp_path, capsys, old, new, digits, field):
+    text = crnoma.scenario.default_scenario_text()
+    assert text.count(old) == 1
+    assert _probe_exit(tmp_path, text.replace(old, new.format("9" * digits))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field}: ")
+    if digits == 401:
+        assert err.endswith(": integer too large for a float (401 digits)\n")
+    assert len(err) < 400
+
+
 def test_pathloss_gain_overflow_is_usage_error(capsys):
     assert main(["pathloss", "--d", "1e-300", "--f", "5"]) == 2
     err = capsys.readouterr().err
@@ -581,7 +607,7 @@ def _yaml_paths(node, prefix=()):
 DEFAULT_DOC = yaml.safe_load(crnoma.scenario.default_scenario_text())
 DEFAULT_PATHS = list(_yaml_paths(DEFAULT_DOC))
 MUTATIONS = st.sampled_from(["delete", "rename"]) | st.sampled_from(
-    ["text", [1.0, "x"], math.nan, math.inf, -math.inf, 1e308]
+    ["text", [1.0, "x"], math.nan, math.inf, -math.inf, 1e308, 10**400]
 ).map(lambda value: ("set", value))
 
 

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+import crnoma.metrics
 import crnoma.optimizer
 from crnoma import (
     EFFECTUAL,
@@ -223,6 +224,17 @@ def _optimize_with_mrc_denominator(value):
         optimize_scenario(make_scenario(hrc_gains=(1.0,), mrc_gains=(1.0,)), EFFECTUAL)
 
 
+def _sweep_with_base_denominator(value):
+    with mock.patch.object(crnoma.metrics, "_base_denominator_w", return_value=value):
+        run_sweep(make_scenario(), EFFECTUAL, HRC, False)
+
+
+def _throughput_with_base_denominator(value):
+    scenario = make_scenario()
+    with mock.patch.object(crnoma.metrics, "_base_denominator_w", return_value=value):
+        throughput(scenario.sensing, scenario.env, scenario.pairs, HRC)
+
+
 _UNIT_PROBLEM = OptProblem(gain=1.0, denom_power_w=1.0, overheads=OVERHEADS)
 _POSITIVE = (-1.0, math.nan, math.inf, 0.0)
 _NONNEGATIVE = (-1.0, math.nan, math.inf)
@@ -306,6 +318,12 @@ SIGN_SITES = {
     ),
     "optimize_scenario.mrc_denominator": (
         _optimize_with_mrc_denominator, "denom_power_w must be > 0", _POSITIVE
+    ),
+    "run_sweep.base_denominator": (
+        _sweep_with_base_denominator, "denom_power_w must be > 0", _POSITIVE
+    ),
+    "throughput.base_denominator": (
+        _throughput_with_base_denominator, "denom_power_w must be > 0", _POSITIVE
     ),
     "load_scenario.explicit_gain": (
         _explicit_hrc_gain, "devices.hrc[0]: gain must be > 0", _POSITIVE
