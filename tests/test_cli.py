@@ -584,6 +584,14 @@ def test_huge_integer_literal_is_config_error(tmp_path, capsys, old, new, digits
     assert len(err) < 400
 
 
+def test_invalid_yaml_date_is_config_error(tmp_path, capsys):
+    # PyYAML resolves 2020-13-45 as a timestamp and its constructor raises ValueError.
+    text = crnoma.scenario.default_scenario_text()
+    text = text.replace("carrier_ghz: 5.0", "carrier_ghz: 2020-13-45")
+    assert _probe_exit(tmp_path, text) == 2
+    assert capsys.readouterr().err.startswith("configuration error: <document>: YAML parse failure: ")
+
+
 def test_pathloss_gain_overflow_is_usage_error(capsys):
     assert main(["pathloss", "--d", "1e-300", "--f", "5"]) == 2
     err = capsys.readouterr().err
