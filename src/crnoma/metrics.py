@@ -91,6 +91,10 @@ class SensingProfile:
         _check_probability("p_active", self.p_active)
         _check_probability("p_false_alarm", self.p_false_alarm)
         _check_probability("p_detection", self.p_detection)
+        # duty_factor divides by this sum; at inf it returns 0 for any t_t.
+        frame_s = self.t_transmit_s + self.t_sense_s
+        if frame_s == math.inf:
+            raise ValueError(f"t_transmit_s + t_sense_s must be finite, got {frame_s!r}")
 
     def meets_regulatory_sensing(self) -> bool:
         """IEEE 802.22-style requirement: detection >= 0.9, false alarm <= 0.1."""
@@ -179,8 +183,11 @@ class PowerOverheads:
     def __post_init__(self) -> None:
         _check_nonnegative("circuit_w", self.circuit_w)
         _check_nonnegative("sensing_w", self.sensing_w)
-        if self.circuit_w + self.sensing_w <= 0.0:
+        total = self.circuit_w + self.sensing_w
+        if total <= 0.0:
             raise ValueError("circuit_w + sensing_w must be > 0")
+        if total == math.inf:
+            raise ValueError(f"circuit_w + sensing_w must be finite, got {total!r}")
 
     @property
     def total_w(self) -> float:
@@ -230,10 +237,11 @@ def _kappa_b(sensing: SensingProfile, env: RadioEnvironment, state: str) -> floa
 
 
 def _base_denominator_w(env: RadioEnvironment, primary: Optional[PrimaryLink] = None) -> float:
-    """Noise power, plus the primary's received power in the interference state."""
+    """Noise power, plus the primary's received power in the interference state; checked > 0."""
     base = env.noise_w()
     if primary is not None:
         base += primary.received_w()
+    _check_positive("denom_power_w", base)
     return base
 
 
@@ -255,7 +263,6 @@ def _pair_rates(
     inf (or is NaN) raises ValueError naming the device and pair index.
     """
     base = _base_denominator_w(env, primary)
-    _check_positive("denom_power_w", base)
     if device == HRC:
         ratios = [hp * p.hrc_gain / base for p, hp in zip(pairs, hrc_powers)]
     else:

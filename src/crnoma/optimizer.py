@@ -126,6 +126,12 @@ def _closed_form(
         return OptResult(
             math.nan, math.nan, False, arg, "Lambert argument below the principal-branch domain"
         )
+    # Finite C, g2 and D can still overflow the argument, e.g. a 1e308 W overhead.
+    if arg == math.inf:
+        raise ValueError(
+            f"Lambert argument (C*g2 - D) / (e*D) overflows to inf: "
+            f"C*g2 - D = {numerator!r}, D = {d!r}"
+        )
     w = lambert_fn(arg)
     power = numerator / (w * g2) - d / g2
     if not math.isfinite(power) or power <= 0.0:
@@ -252,8 +258,6 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
         return optima
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
-    # OptProblem's denominator check, made without building one per device.
-    _check_positive("denom_power_w", base)
     overhead = scenario.overheads.total_w
     kappa_b = _kappa_b(scenario.sensing, scenario.env, state)
     pairs = scenario.pairs

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, partial
 from importlib import resources
@@ -82,6 +83,25 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 T = TypeVar("T")
 
 
+class _ShortRepr(reprlib.Repr):
+    def repr_int(self, x, level):
+        # Over Python's int-to-str digit limit, repr itself raises ValueError.
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<{x.bit_length()}-bit integer>"
+
+
+# Every rejected value is echoed through this, so a huge literal or a YAML
+# alias chain that expands to millions of items stays a short message.
+# Attributes, not keywords: Repr takes keywords only from Python 3.12.
+_SHORT = _ShortRepr()
+_SHORT.maxlevel = 2
+_SHORT.maxtuple = _SHORT.maxlist = _SHORT.maxarray = _SHORT.maxdict = 4
+_SHORT.maxset = _SHORT.maxfrozenset = _SHORT.maxdeque = 4
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 40
+
+
 class ConfigError(ValueError):
     """Scenario configuration problem, carrying the offending field name."""
 
@@ -92,7 +112,7 @@ class ConfigError(ValueError):
 
 def _check_unit_mode(unit_mode) -> None:
     if unit_mode not in UNIT_MODES:
-        raise ConfigError("unit_mode", f"must be one of {UNIT_MODES}, got {unit_mode!r}")
+        raise ConfigError("unit_mode", f"must be one of {UNIT_MODES}, got {_SHORT.repr(unit_mode)}")
 
 
 def _named(field: str, build: Callable[..., T], *args, **kwargs) -> T:
@@ -135,7 +155,7 @@ class Scenario:
     def __post_init__(self) -> None:
         # Named as the YAML names them, so the loader raises these unwrapped.
         if not isinstance(self.label, str):
-            raise ConfigError("label", f"must be a string, got {self.label!r}")
+            raise ConfigError("label", f"must be a string, got {_SHORT.repr(self.label)}")
         _check_unit_mode(self.unit_mode)
         # Every series divides by the pair count and reads the first grid point.
         if not self.pairs:
@@ -230,7 +250,7 @@ def _section(doc: Mapping, name: str, optional: bool = False) -> Mapping:
 
 def _coerce_number(value) -> float:
     if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
+        raise ValueError(f"expected a number, got {_SHORT.repr(value)}")
     if isinstance(value, (int, float)):
         try:
             return float(value)
@@ -244,7 +264,7 @@ def _coerce_number(value) -> float:
             return float(value)
         except ValueError:
             pass
-    raise ValueError(f"expected a number, got {value!r}")
+    raise ValueError(f"expected a number, got {_SHORT.repr(value)}")
 
 
 def _number(table: Mapping, section: str, key: str, default=None) -> float:
@@ -287,39 +307,6 @@ def _build_grid(start: float, stop: float, step: float) -> Tuple[float, ...]:
         )
     count = int(math.floor(intervals)) + 1
     return tuple(round(start + i * step, _GRID_DECIMALS) for i in range(count))
-
-
-def _resolve_gains(
-    section: str,
-    gains: Optional[Tuple[float, ...]],
-    distances: Optional[Tuple[float, ...]],
-    carrier_ghz: float,
-    los_probability: float,
-    combine: str,
-    notes: list,
-) -> Tuple[float, ...]:
-    """The section's gains, given directly or resolved from distances (not both)."""
-    if gains is not None and distances is not None:
-        raise ConfigError(
-            section, "give either explicit gains or distances, not both (ambiguous)"
-        )
-    if gains is None and distances is None:
-        raise ConfigError(section, "either explicit gains or distances are required")
-    if gains is not None:
-        _named_map(section, partial(_check_positive, "gain"), gains)
-        return gains
-
-    def gain_at(distance_m: float) -> float:
-        return power_gain(pathloss_average_db(distance_m, carrier_ghz, los_probability, combine))
-
-    resolved = _named_map(section, gain_at, distances)
-    # Each distinct range note once per section, in first-seen order.
-    notes.extend(
-        dict.fromkeys(
-            f"{section}: {note}" for d in distances for note in range_notes(d, carrier_ghz)
-        )
-    )
-    return resolved
 
 
 def load_scenario(text: str) -> Scenario:
@@ -372,10 +359,8 @@ def load_scenario(text: str) -> Scenario:
 
     # The LOS weight and combine rule only turn distances into gains.
     pl_t = _section(doc, "pathloss", optional=True)
-    if "los_probability" in pl_t:
-        los_probability = _number(pl_t, "pathloss", "los_probability")
-    else:
-        los_probability = DEFAULT_LOS_PROBABILITY
+    los_probability = _number(pl_t, "pathloss", "los_probability", DEFAULT_LOS_PROBABILITY)
+    if "los_probability" not in pl_t:
         notes.append(f"pathloss.los_probability defaulted to {DEFAULT_LOS_PROBABILITY}")
     if not 0.0 <= los_probability <= 1.0:
         raise ConfigError(
@@ -383,28 +368,46 @@ def load_scenario(text: str) -> Scenario:
         )
     combine = pl_t.get("combine", "db")
     if combine not in ("db", "linear"):
-        raise ConfigError("pathloss.combine", f"must be 'db' or 'linear', got {combine!r}")
+        raise ConfigError(
+            "pathloss.combine", f"must be 'db' or 'linear', got {_SHORT.repr(combine)}"
+        )
+    carrier_ghz = env.carrier_ghz
+
+    def gain_at(distance_m: float) -> float:
+        return power_gain(pathloss_average_db(distance_m, carrier_ghz, los_probability, combine))
+
+    def resolve_gains(section, gains, distances) -> Tuple[float, ...]:
+        """The section's gains, given directly or resolved from distances (not both)."""
+        if gains is not None and distances is not None:
+            raise ConfigError(
+                section, "give either explicit gains or distances, not both (ambiguous)"
+            )
+        if gains is None and distances is None:
+            raise ConfigError(section, "either explicit gains or distances are required")
+        if gains is not None:
+            _named_map(section, partial(_check_positive, "gain"), gains)
+            return gains
+        resolved = _named_map(section, gain_at, distances)
+        # Each distinct range note once per section, in first-seen order.
+        notes.extend(
+            dict.fromkeys(
+                f"{section}: {note}" for d in distances for note in range_notes(d, carrier_ghz)
+            )
+        )
+        return resolved
 
     dev_t = _section(doc, "devices")
     hrc_power = _power_w(dev_t, "devices", "hrc_power", unit_mode)
     mrc_power = _power_w(dev_t, "devices", "mrc_power", unit_mode)
-    hrc_gains = _resolve_gains(
+    hrc_gains = resolve_gains(
         "devices.hrc",
         _number_list(dev_t, "devices", "hrc_gains"),
         _number_list(dev_t, "devices", "hrc_distances_m"),
-        env.carrier_ghz,
-        los_probability,
-        combine,
-        notes,
     )
-    mrc_gains = _resolve_gains(
+    mrc_gains = resolve_gains(
         "devices.mrc",
         _number_list(dev_t, "devices", "mrc_gains"),
         _number_list(dev_t, "devices", "mrc_distances_m"),
-        env.carrier_ghz,
-        los_probability,
-        combine,
-        notes,
     )
     if len(hrc_gains) != len(mrc_gains):
         raise ConfigError(
@@ -426,9 +429,7 @@ def load_scenario(text: str) -> Scenario:
     prim_t = _section(doc, "primary")
     prim_gain = (_number(prim_t, "primary", "gain"),) if "gain" in prim_t else None
     dist = (_number(prim_t, "primary", "distance_m"),) if "distance_m" in prim_t else None
-    (gain,) = _resolve_gains(
-        "primary", prim_gain, dist, env.carrier_ghz, los_probability, combine, notes
-    )
+    (gain,) = resolve_gains("primary", prim_gain, dist)
     primary = _named(
         "primary",
         PrimaryLink,

@@ -232,23 +232,25 @@ def _check_default_shape(scenario: Scenario) -> List[CheckResult]:
     out.append(CheckResult("sweep_origin_passthrough", worst == 0.0, worst, 0.0))
 
     min_gain = math.inf
+    zero = []
     for state in (EFFECTUAL, INTERFERENCE):
         for device in DEVICES:
             original = series[(state, device, False)]
             optimized = series[(state, device, True)]
-            min_gain = min(
-                min_gain,
-                improvement_percent(original.ee_bps_per_watt[-1], optimized.ee_bps_per_watt[-1]),
-                improvement_percent(original.throughput_bps[-1], optimized.throughput_bps[-1]),
-            )
+            for measure in ("ee_bps_per_watt", "throughput_bps"):
+                value = getattr(optimized, measure)[-1]
+                # A zero series (e.g. p_detection = 1) has no relative improvement.
+                if value > 0.0:
+                    gain = improvement_percent(getattr(original, measure)[-1], value)
+                    min_gain = min(min_gain, gain)
+                else:
+                    zero.append(f"{state} {device} {measure}")
+    detail = "smallest throughput/EE improvement across states and devices, percent"
+    if zero:
+        min_gain = -math.inf
+        detail = "optimized series is 0 at the last p_x: " + ", ".join(zero)
     out.append(
-        CheckResult(
-            "default_scenario_improvement_floor",
-            min_gain > 50.0,
-            min_gain,
-            50.0,
-            "smallest throughput/EE improvement across states and devices, percent",
-        )
+        CheckResult("default_scenario_improvement_floor", min_gain > 50.0, min_gain, 50.0, detail)
     )
 
     ordering_ok = True

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import crnoma.scenario
-from crnoma import throughput
+from crnoma import OptProblem, PowerOverheads, SensingProfile, optimal_power, throughput
 from crnoma.cli import main
 
 EXACT_SCENARIO = """
@@ -582,6 +582,120 @@ def test_huge_integer_literal_is_config_error(tmp_path, capsys, old, new, digits
     if digits == 401:
         assert err.endswith(": integer too large for a float (401 digits)\n")
     assert len(err) < 400
+
+
+# About 250 bytes of YAML: each anchor lists the previous one ten times, so
+# the last item expands to 10**5 leaves.
+ALIAS_CHAIN = "[" + ", ".join(
+    ["&a0 [" + ", ".join(["1"] * 10) + "]"]
+    + [f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 5)]
+) + "]"
+
+# Values whose full repr runs to kilobytes or more. Python's int-to-str digit
+# limit (4,300) is under the 4,817 digits of the hex one, where repr raises.
+LONG_VALUES = {
+    "digits": "1" * 4000,
+    "hex": "0x" + "f" * 4000,
+    "alias": ALIAS_CHAIN,
+    "text": "x" * 4000,
+}
+
+# Every site that echoes a rejected value.
+ECHO_SITES = [
+    ("unit_mode: watt", "unit_mode: {}", "digits", "unit_mode"),
+    ("unit_mode: watt", "unit_mode: {}", "hex", "unit_mode"),
+    ("label: default", "label: {}", "digits", "label"),
+    ("label: default", "label: {}", "alias", "label"),
+    ("combine: db", "combine: {}", "digits", "pathloss.combine"),
+    ("carrier_ghz: 5.0", "carrier_ghz: {}", "alias", "env.carrier_ghz"),
+    ("hrc_power: 0.7", "hrc_power: {}", "text", "devices.hrc_power"),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, kind, field",
+    [pytest.param(*site, id=f"{site[3]}-{site[2]}") for site in ECHO_SITES],
+)
+def test_rejected_value_is_echoed_in_short_form(tmp_path, capsys, old, new, kind, field):
+    text = crnoma.scenario.default_scenario_text()
+    assert text.count(old) == 1
+    assert _probe_exit(tmp_path, text.replace(old, new.format(LONG_VALUES[kind]))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field}: ")
+    assert len(err.encode()) < 400
+
+
+def _default_with(*edits):
+    text = crnoma.scenario.default_scenario_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+# Each value is finite; the sum, duty_factor's denominator or EE's
+# overhead power, is not.
+OVERFLOWING_SUMS = {
+    "sensing": (
+        lambda: SensingProfile(t_transmit_s=1e308, t_sense_s=1e308),
+        (
+            ("transmit_time_s: 0.125e-3", "transmit_time_s: 1.0e+308"),
+            ("sense_time_s: 0.125e-3", "sense_time_s: 1.0e+308"),
+        ),
+        "t_transmit_s + t_sense_s must be finite, got inf",
+    ),
+    "overheads": (
+        lambda: PowerOverheads(circuit_w=1e308, sensing_w=1e308),
+        (
+            ("circuit_power: 99.0", "circuit_power: 1.0e+308"),
+            ("sensing_power: 1.0", "sensing_power: 1.0e+308"),
+        ),
+        "circuit_w + sensing_w must be finite, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("section", sorted(OVERFLOWING_SUMS))
+def test_overflowing_sum_is_config_error(tmp_path, capsys, section):
+    build, edits, message = OVERFLOWING_SUMS[section]
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+    assert _probe_exit(tmp_path, _default_with(*edits)) == 2
+    assert capsys.readouterr().err == f"configuration error: {section}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_overflowing_lambert_argument_is_named_domain_error(tmp_path, capsys, command):
+    # C * g2 - D is finite, but dividing it by the noise power D is not.
+    problem = OptProblem(
+        gain=1e-13, denom_power_w=1e-14, overheads=PowerOverheads(circuit_w=1e308, sensing_w=0.0)
+    )
+    with pytest.raises(ValueError) as err:
+        optimal_power(problem)
+    assert str(err.value) == (
+        "Lambert argument (C*g2 - D) / (e*D) overflows to inf: "
+        f"C*g2 - D = {1e308 * 1e-13 - 1e-14!r}, D = 1e-14"
+    )
+    text = _default_with(("circuit_power: 99.0", "circuit_power: 1.0e+308"))
+    assert _probe_exit(tmp_path, text, command) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: Lambert argument (C*g2 - D) / (e*D) overflows to inf: ")
+
+
+def test_validate_fails_on_zero_optimized_series(tmp_path, capsys):
+    # p_detection = 1 zeroes every interference series; no improvement is defined.
+    text = _default_with(("p_detection: 0.9", "p_detection: 1.0"))
+    assert main(["validate", write(tmp_path, "zero.yaml", text), "--trials", "20"]) == 1
+    zero = ", ".join(
+        f"interference {device} {measure}"
+        for device in ("hrc", "mrc")
+        for measure in ("ee_bps_per_watt", "throughput_bps")
+    )
+    assert (
+        "FAIL  default_scenario_improvement_floor: measured -inf (limit 5.000000e+01)  "
+        f"[optimized series is 0 at the last p_x: {zero}]\n"
+    ) in capsys.readouterr().out
 
 
 def test_invalid_yaml_date_is_config_error(tmp_path, capsys):

@@ -212,8 +212,10 @@ def _explicit_hrc_gain(value):
     load_scenario(text.replace(line, f"  hrc_gains: [{value!r}, 1.0, 1.0, 1.0, 1.0]\n"))
 
 
+# In the effectual state the base denominator is the noise power alone, so a
+# patched noise power reaches _base_denominator_w's own check as is.
 def _optimize_with_base_denominator(value):
-    with mock.patch.object(crnoma.optimizer, "_base_denominator_w", return_value=value):
+    with mock.patch.object(RadioEnvironment, "noise_w", return_value=value):
         optimize_scenario(make_scenario(), EFFECTUAL)
 
 
@@ -225,13 +227,13 @@ def _optimize_with_mrc_denominator(value):
 
 
 def _sweep_with_base_denominator(value):
-    with mock.patch.object(crnoma.metrics, "_base_denominator_w", return_value=value):
+    with mock.patch.object(RadioEnvironment, "noise_w", return_value=value):
         run_sweep(make_scenario(), EFFECTUAL, HRC, False)
 
 
 def _throughput_with_base_denominator(value):
     scenario = make_scenario()
-    with mock.patch.object(crnoma.metrics, "_base_denominator_w", return_value=value):
+    with mock.patch.object(RadioEnvironment, "noise_w", return_value=value):
         throughput(scenario.sensing, scenario.env, scenario.pairs, HRC)
 
 
