@@ -245,6 +245,17 @@ def _base_denominator_w(env: RadioEnvironment, primary: Optional[PrimaryLink] = 
     return base
 
 
+def _mrc_denominators_w(
+    base: float, pairs: Sequence[DevicePair], hrc_powers: Sequence[float]
+) -> List[float]:
+    """Per pair, the MRC SINR denominator (its one definition): ``base`` plus
+    the paired HRC's received power at ``hrc_powers``; checked > 0."""
+    denoms = [base + hp * p.hrc_gain for p, hp in zip(pairs, hrc_powers)]
+    # Every D is at least base > 0, so only the largest can fail, by overflowing.
+    _check_positive("denom_power_w", max(denoms, default=base))
+    return denoms
+
+
 def _pair_rates(
     env: RadioEnvironment,
     pairs: Sequence[DevicePair],
@@ -257,21 +268,18 @@ def _pair_rates(
 
     Powers come from the columns ``hrc_powers`` and ``mrc_powers``, gains
     from ``pairs``, all in pair order.  D is the base denominator
-    (``_base_denominator_w``), plus the paired HRC's received power for an
-    MRC device.  ``optimizer.optimize_scenario`` writes the same MRC
-    denominator for the optimum's own link.  An S / D that overflows to
-    inf (or is NaN) raises ValueError naming the device and pair index.
+    (``_base_denominator_w``) for an HRC device and ``_mrc_denominators_w``
+    for an MRC device.  An S / D that overflows to inf raises ValueError
+    naming the device and pair index.
     """
     base = _base_denominator_w(env, primary)
     if device == HRC:
         ratios = [hp * p.hrc_gain / base for p, hp in zip(pairs, hrc_powers)]
     else:
-        ratios = [
-            mp * p.mrc_gain / (base + hp * p.hrc_gain)
-            for p, hp, mp in zip(pairs, hrc_powers, mrc_powers)
-        ]
+        denoms = _mrc_denominators_w(base, pairs, hrc_powers)
+        ratios = [mp * p.mrc_gain / d for p, mp, d in zip(pairs, mrc_powers, denoms)]
     for index, ratio in enumerate(ratios):
-        # log2(1 + S / D) is finite exactly when S / D is (NaN fails too).
+        # D is finite and > 0, so S / D is finite or inf, never NaN.
         if not ratio < math.inf:
             raise ValueError(f"{device} pair {index}: S/D = {ratio!r} is not finite")
     return [math.log2(1.0 + ratio) for ratio in ratios]

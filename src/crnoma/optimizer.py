@@ -21,6 +21,7 @@ by the prefactor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -34,6 +35,7 @@ from .metrics import (
     _check_positive,
     _check_state,
     _kappa_b,
+    _mrc_denominators_w,
 )
 
 __all__ = [
@@ -53,6 +55,7 @@ _ORACLE_P_START_W = 1e6
 _ORACLE_P_CAP_W = 1e12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_E = math.exp(-1.0)
+_FLOAT_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,7 @@ class OptProblem:
 class OptResult:
     """Outcome of a closed-form power optimization.
 
-    Infeasibility (the formula's numerator C*g2 - D not positive, a Lambert
-    argument outside the principal branch, or a non-positive power) is a
+    Infeasibility (the numerator C*g2 - D or the power not positive) is a
     typed result rather than an exception; power_w is NaN in that case.
     ee_bps_per_watt is evaluated at power_w: normalized (kappa * b = 1)
     from ``optimal_power``, scaled by the prefactor from ``optimize_scenario``.
@@ -122,19 +124,28 @@ def _closed_form(
             arg,
             "overhead-driven term C*g2 does not exceed the denominator power",
         )
-    if arg < -_INV_E:
-        return OptResult(
-            math.nan, math.nan, False, arg, "Lambert argument below the principal-branch domain"
-        )
-    # Finite C, g2 and D can still overflow the argument, e.g. a 1e308 W overhead.
+    # arg > 0 lies in W0's domain here, but can overflow, e.g. at a 1e308 W overhead.
     if arg == math.inf:
         raise ValueError(
             f"Lambert argument (C*g2 - D) / (e*D) overflows to inf: "
             f"C*g2 - D = {numerator!r}, D = {d!r}"
         )
     w = lambert_fn(arg)
-    power = numerator / (w * g2) - d / g2
-    if not math.isfinite(power) or power <= 0.0:
+    wg2 = w * g2
+    if wg2 < _FLOAT_MIN:
+        # At a subnormal gain w * g2 loses bits or underflows to 0; dividing
+        # by w first avoids the product.
+        power = (numerator / w - d) / g2
+    else:
+        power = numerator / wg2 - d / g2
+    # d / g2 is below about C, so the term that overflows is numerator / (w * g2),
+    # e.g. a 1.5e308 W overhead at a 1e-300 gain.
+    if power == math.inf:
+        raise ValueError(
+            f"closed-form power overflows to inf: C*g2 - D = {numerator!r}, "
+            f"W0 = {w!r}, g2 = {g2!r}"
+        )
+    if not power > 0.0:
         return OptResult(
             math.nan, math.nan, False, arg, f"closed form yielded non-positive power {power!r}"
         )
@@ -162,21 +173,17 @@ def numerical_argmax(problem: OptProblem) -> float:
     section applies.  The upper bracket starts at 1e6 W and doubles until
     EE is decreasing there, capped at 1e12 W.  Each section step evaluates
     its one new probe inline (a call per probe costs more than the
-    arithmetic), in ``ee_of_power``'s operation order and with its
-    ``power_w >= 0`` check.  Probes and result are therefore bit-identical
-    to a search over ``ee_of_power``;
+    arithmetic), in ``ee_of_power``'s operation order but without its
+    ``power_w >= 0`` check, which no probe in [0, hi] can fail.  Probes and
+    result are therefore bit-identical to a search over ``ee_of_power``;
     ``test_numerical_argmax_is_bit_identical_to_reference_search`` pins this.
     """
     gain = problem.gain
     denom = problem.denom_power_w
     overhead = problem.overheads.total_w
     log2 = math.log2
-    isfinite = math.isfinite
 
     def ee(p: float) -> float:
-        # ee_of_power with the problem bound once: same check, same order.
-        if not isfinite(p) or p < 0.0:
-            raise ValueError(f"power_w must be >= 0, got {p!r}")
         return log2(1.0 + p * gain / denom) / (p + overhead)
 
     hi = _ORACLE_P_START_W
@@ -200,14 +207,10 @@ def numerical_argmax(problem: OptProblem) -> float:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi
-            if c < 0.0:
-                raise ValueError(f"power_w must be >= 0, got {c!r}")
             fc = log2(1.0 + c * gain / denom) / (c + overhead)
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * invphi
-            if d < 0.0:
-                raise ValueError(f"power_w must be >= 0, got {d!r}")
             fd = log2(1.0 + d * gain / denom) / (d + overhead)
     return 0.5 * (a + b)
 
@@ -266,9 +269,8 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     if hrc is None:
         hrc = tuple(_closed_form(p.hrc_gain, base, overhead, kappa_b, lambert_w0) for p in pairs)
         hrc = memo.setdefault(state, hrc)
-    mrc = []
-    for pair, hrc_power in zip(pairs, _coupled_hrc_powers(pairs, hrc, coupling)):
-        mrc_denom = base + hrc_power * pair.hrc_gain
-        _check_positive("denom_power_w", mrc_denom)
-        mrc.append(_closed_form(pair.mrc_gain, mrc_denom, overhead, kappa_b, lambert_w0))
-    return memo.setdefault((state, coupling), ScenarioOptima(hrc=hrc, mrc=tuple(mrc)))
+    denoms = _mrc_denominators_w(base, pairs, _coupled_hrc_powers(pairs, hrc, coupling))
+    mrc = tuple(
+        _closed_form(p.mrc_gain, d, overhead, kappa_b, lambert_w0) for p, d in zip(pairs, denoms)
+    )
+    return memo.setdefault((state, coupling), ScenarioOptima(hrc=hrc, mrc=mrc))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from importlib import resources
@@ -255,8 +256,13 @@ def _coerce_number(value) -> float:
         try:
             return float(value)
         except OverflowError:
-            # Only an int can overflow; its digits would swamp the message.
-            digits = len(str(abs(value)))
+            # Only an int can overflow; its digits would swamp the message, and
+            # str() of it can pass Python's int-to-str limit.  n bits hold
+            # floor(n * log10(2)) decimal digits or one more.
+            magnitude = abs(value)
+            digits = int(magnitude.bit_length() * math.log10(2.0))
+            if 10**digits <= magnitude:
+                digits += 1
             raise ValueError(f"integer too large for a float ({digits} digits)") from None
     # YAML 1.1 floats need a signed exponent; "1.0e6" arrives as a string.
     if isinstance(value, str):
@@ -338,6 +344,13 @@ def load_scenario(text: str) -> Scenario:
         raise ConfigError(
             "env.noise_psd_dbm_hz",
             f"noise power must be finite and > 0 W, got {noise_w!r}",
+        )
+    # A subnormal noise power carries few bits and underflows products in the solver.
+    if noise_w < sys.float_info.min:
+        raise ConfigError(
+            "env.noise_psd_dbm_hz",
+            f"noise power {noise_w!r} W is below the smallest normal float "
+            f"{sys.float_info.min!r}",
         )
 
     sens_t = _section(doc, "sensing")

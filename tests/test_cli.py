@@ -483,6 +483,7 @@ def test_nan_bandwidth_is_config_error(tmp_path, capsys, command):
     [
         ("-5000.0", "noise power must be finite and > 0 W, got 0.0"),
         ("5000.0", "dBm power 5000.0 overflows in watts"),
+        ("-3184.0", "noise power 4.00193173e-316 W is below the smallest normal float"),
     ],
 )
 def test_extreme_noise_psd_is_config_error(tmp_path, capsys, command, psd, message):
@@ -566,7 +567,12 @@ HUGE_INTEGER_SITES = [
     ("power: 50.0", "power: {}", 401, "primary.power"),
     ("step: 0.01", "step: {}", 401, "sweep.step"),
     ("carrier_ghz: 5.0", "carrier_ghz: {}", 5000, "<document>"),
+    # 16**4000 - 1 has 4,817 decimal digits, over Python's int-to-str limit.
+    ("carrier_ghz: 5.0", "carrier_ghz: 0x{}", 4817, "env.carrier_ghz"),
 ]
+
+# The literal written for each digit count: decimal nines, or hex f's.
+HUGE_LITERALS = {401: "9" * 401, 5000: "9" * 5000, 4817: "f" * 4000}
 
 
 @pytest.mark.parametrize(
@@ -576,11 +582,11 @@ HUGE_INTEGER_SITES = [
 def test_huge_integer_literal_is_config_error(tmp_path, capsys, old, new, digits, field):
     text = crnoma.scenario.default_scenario_text()
     assert text.count(old) == 1
-    assert _probe_exit(tmp_path, text.replace(old, new.format("9" * digits))) == 2
+    assert _probe_exit(tmp_path, text.replace(old, new.format(HUGE_LITERALS[digits]))) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {field}: ")
-    if digits == 401:
-        assert err.endswith(": integer too large for a float (401 digits)\n")
+    if field != "<document>":
+        assert err.endswith(f": integer too large for a float ({digits} digits)\n")
     assert len(err) < 400
 
 
@@ -681,6 +687,32 @@ def test_overflowing_lambert_argument_is_named_domain_error(tmp_path, capsys, co
     assert _probe_exit(tmp_path, text, command) == 3
     err = capsys.readouterr().err
     assert err.startswith("domain error: Lambert argument (C*g2 - D) / (e*D) overflows to inf: ")
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_overflowing_closed_form_power_is_named_domain_error(tmp_path, capsys, command):
+    # The Lambert argument 0.5 / e is finite, but p* = (C*g2 - D) / (W0 * g2) - D / g2
+    # is not: W0 = 0.157..., and 5e7 / 1.57e-301 overflows.
+    problem = OptProblem(
+        gain=1e-300, denom_power_w=1e8, overheads=PowerOverheads(circuit_w=1.5e308, sensing_w=0.0)
+    )
+    with pytest.raises(ValueError) as err:
+        optimal_power(problem)
+    assert str(err.value).startswith("closed-form power overflows to inf: C*g2 - D = 50000000.0, ")
+    assert str(err.value).endswith(", g2 = 1e-300")
+    # noise 50 dBm/Hz over 1 MHz is the same D = 1e8 W.
+    text = _default_with(
+        ("noise_psd_dbm_hz: -174.0", "noise_psd_dbm_hz: 50.0"),
+        (
+            "  hrc_distances_m: [1200.0, 1400.0, 1600.0, 1800.0, 2000.0]\n",
+            "  hrc_gains: [1.0e-300, 1.0e-300, 1.0e-300, 1.0e-300, 1.0e-300]\n",
+        ),
+        ("circuit_power: 99.0", "circuit_power: 1.5e+308"),
+    )
+    assert _probe_exit(tmp_path, text, command) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: closed-form power overflows to inf: C*g2 - D = ")
+    assert err.endswith(", g2 = 1e-300\n")
 
 
 def test_validate_fails_on_zero_optimized_series(tmp_path, capsys):

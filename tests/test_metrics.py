@@ -1,5 +1,6 @@
 """Link metrics: throughputs, EE, improvement percentage."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -364,12 +365,33 @@ def test_improvement_errors():
 
 
 def test_non_finite_sinr_raises_naming_device_and_pair():
-    # 1e308 W at gain 1e10 overflows both S and the MRC's D: inf / inf is NaN.
+    # 1e308 W at gain 1e10 overflows S.
     huge = pair(hrc_power=1e308, mrc_power=1e308, hrc_gain=1e10, mrc_gain=1e10)
-    for device, ratio in ((HRC, "inf"), (MRC, "nan")):
+    with pytest.raises(ValueError) as err:
+        throughput(sensing(), UNIT_ENV, [pair(), huge], HRC)
+    assert str(err.value) == "hrc pair 1: S/D = inf is not finite"
+
+
+def test_overflowing_mrc_denominator_raises_on_every_path():
+    # The paired HRC's received power 1e308 W * 1e10 overflows the MRC's D.
+    # throughput, the original series and the optimizer build D on one path.
+    scenario = make_scenario()
+    huge = pair(hrc_power=1e308, mrc_power=0.3, hrc_gain=1e10, mrc_gain=4e-14)
+    scenario = dataclasses.replace(scenario, pairs=(scenario.pairs[0], huge))
+    calls = {
+        "throughput": lambda: throughput(scenario.sensing, scenario.env, scenario.pairs, MRC),
+        "run_sweep": lambda: run_sweep(scenario, EFFECTUAL, MRC, False),
+        "optimize_scenario": lambda: optimize_scenario(scenario, EFFECTUAL),
+    }
+    for name, call in calls.items():
         with pytest.raises(ValueError) as err:
-            throughput(sensing(), UNIT_ENV, [pair(), huge], device)
-        assert str(err.value) == f"{device} pair 1: S/D = {ratio} is not finite"
+            call()
+        assert str(err.value) == "denom_power_w must be > 0, got inf", name
+    # With D finite, an overflowing MRC signal still names the pair.
+    loud = pair(mrc_power=1e308, mrc_gain=1e10)
+    with pytest.raises(ValueError) as err:
+        throughput(sensing(), UNIT_ENV, [pair(), loud], MRC)
+    assert str(err.value) == "mrc pair 1: S/D = inf is not finite"
 
 
 def test_sic_ordering_ok():

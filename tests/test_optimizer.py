@@ -113,6 +113,31 @@ def test_oracle_bracket_is_capped():
         numerical_argmax(problem)
 
 
+def _subnormal_gain_problems():
+    # g2 from 5e-324 up to about 1e-300 at a normal D, with C*g2 just over,
+    # 1.5 and 1000 times D; then two problems whose closed form divided by
+    # an underflowed W0 * g2, or lost 1.4e-7 of p* to its subnormal bits.
+    for denom in (2.5e-308, 1e-305, 1e-300):
+        for k in range(41):
+            gain = max(5e-324 * 10.0 ** (k * 0.578), 5e-324)
+            for ratio in (1.0 + 1e-9, 1.5, 1e3):
+                yield gain, denom, ratio * denom / gain
+    yield 1e-310, 2.99999999999999e-308, 300.0
+    yield 2.5000025e-311, 2.5e-308, 1000.0
+
+
+def test_subnormal_gain_matches_scaled_solve():
+    # p* depends only on D / g2 and C, and scaling g2 and D by 2**600 is exact;
+    # the scaled problem never forms a subnormal product.
+    scale = 2.0**600
+    for gain, denom, circuit in _subnormal_gain_problems():
+        overheads = PowerOverheads(circuit_w=circuit, sensing_w=0.0)
+        got = optimal_power(OptProblem(gain, denom, overheads))
+        expected = optimal_power(OptProblem(gain * scale, denom * scale, overheads))
+        assert got.feasible and expected.feasible
+        assert got.power_w == pytest.approx(expected.power_w, rel=1e-12), (gain, denom)
+
+
 def test_degenerate_boundary_is_infeasible():
     # C * g2 equals D: Lambert argument collapses to zero.
     prob = OptProblem(
