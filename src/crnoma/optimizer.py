@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .lambertw import lambert_w0
 from .metrics import (
@@ -73,16 +73,24 @@ class OptProblem:
     def __post_init__(self) -> None:
         _check_positive("gain", self.gain)
         _check_positive("denom_power_w", self.denom_power_w)
+        # A subnormal D carries few bits, and C*g2 - D is then formed on the
+        # subnormal grid, so the closed form would return a wrong finite p*.
+        if self.denom_power_w < _FLOAT_MIN:
+            raise ValueError(
+                f"denom_power_w {self.denom_power_w!r} is below the smallest normal "
+                f"float {_FLOAT_MIN!r}"
+            )
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     """Outcome of a closed-form power optimization.
 
     Infeasibility (the numerator C*g2 - D or the power not positive) is a
     typed result rather than an exception; power_w is NaN in that case.
     ee_bps_per_watt is evaluated at power_w: normalized (kappa * b = 1)
     from ``optimal_power``, scaled by the prefactor from ``optimize_scenario``.
+    An immutable ``NamedTuple``, which builds faster than a frozen dataclass
+    (there is one per pair, device and state); ``_replace`` gives a changed copy.
     """
 
     power_w: float
@@ -267,10 +275,10 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
 
     hrc = memo.get(state)
     if hrc is None:
-        hrc = tuple(_closed_form(p.hrc_gain, base, overhead, kappa_b, lambert_w0) for p in pairs)
+        hrc = tuple([_closed_form(p.hrc_gain, base, overhead, kappa_b, lambert_w0) for p in pairs])
         hrc = memo.setdefault(state, hrc)
     denoms = _mrc_denominators_w(base, pairs, _coupled_hrc_powers(pairs, hrc, coupling))
     mrc = tuple(
-        _closed_form(p.mrc_gain, d, overhead, kappa_b, lambert_w0) for p, d in zip(pairs, denoms)
+        [_closed_form(p.mrc_gain, d, overhead, kappa_b, lambert_w0) for p, d in zip(pairs, denoms)]
     )
     return memo.setdefault((state, coupling), ScenarioOptima(hrc=hrc, mrc=mrc))

@@ -50,16 +50,24 @@ def range_notes(distance_m: float, carrier_ghz: float) -> List[str]:
     return notes
 
 
+def _los_db(log_d: float, log_f: float) -> float:
+    return 22.0 * log_d + 28.0 + 20.0 * log_f
+
+
+def _nlos_db(log_d: float, log_f: float) -> float:
+    return 36.7 * log_d + 22.7 + 26.0 * log_f
+
+
 def pathloss_los_db(distance_m: float, carrier_ghz: float) -> float:
     """Line-of-sight pathloss in dB: 22 log10(d) + 28 + 20 log10(f_GHz)."""
     _validate(distance_m, carrier_ghz)
-    return 22.0 * math.log10(distance_m) + 28.0 + 20.0 * math.log10(carrier_ghz)
+    return _los_db(math.log10(distance_m), math.log10(carrier_ghz))
 
 
 def pathloss_nlos_db(distance_m: float, carrier_ghz: float) -> float:
     """Non-line-of-sight pathloss in dB: 36.7 log10(d) + 22.7 + 26 log10(f_GHz)."""
     _validate(distance_m, carrier_ghz)
-    return 36.7 * math.log10(distance_m) + 22.7 + 26.0 * math.log10(carrier_ghz)
+    return _nlos_db(math.log10(distance_m), math.log10(carrier_ghz))
 
 
 def pathloss_average_db(
@@ -85,8 +93,13 @@ def pathloss_average_db(
         raise ValueError(
             f"los_probability must lie in [0, 1], got {los_probability!r}"
         )
-    los = pathloss_los_db(distance_m, carrier_ghz)
-    nlos = pathloss_nlos_db(distance_m, carrier_ghz)
+    # Validated and each logarithm taken once; the terms are those of
+    # pathloss_los_db and pathloss_nlos_db, bit for bit.
+    _validate(distance_m, carrier_ghz)
+    log_d = math.log10(distance_m)
+    log_f = math.log10(carrier_ghz)
+    los = _los_db(log_d, log_f)
+    nlos = _nlos_db(log_d, log_f)
     if combine == "db":
         return los_probability * los + (1.0 - los_probability) * nlos
     if combine == "linear":

@@ -2,7 +2,8 @@
 
 import math
 import random
-from dataclasses import fields, replace
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from crnoma import (
     EFFECTUAL,
     INTERFERENCE,
     OptProblem,
+    OptResult,
     PowerOverheads,
     SensingProfile,
     ee_of_power,
@@ -136,6 +138,17 @@ def test_subnormal_gain_matches_scaled_solve():
         expected = optimal_power(OptProblem(gain * scale, denom * scale, overheads))
         assert got.feasible and expected.feasible
         assert got.power_w == pytest.approx(expected.power_w, rel=1e-12), (gain, denom)
+
+
+def test_subnormal_denominator_rejected():
+    # C*g2 - D would be formed on the subnormal grid: this problem solved
+    # 1.482e-13 W where the same problem scaled by 2**600 solves 1.280e-13 W.
+    overheads = PowerOverheads(1.5 * 5e-324 / 1e-310, 0.0)
+    with pytest.raises(ValueError, match="^denom_power_w 5e-324 is below the smallest normal"):
+        OptProblem(1e-310, 5e-324, overheads)
+    with pytest.raises(ValueError, match="^denom_power_w"):
+        OptProblem(1.0, math.nextafter(sys.float_info.min, 0.0), overheads)
+    assert OptProblem(1.0, sys.float_info.min, overheads).denom_power_w == sys.float_info.min
 
 
 def test_degenerate_boundary_is_infeasible():
@@ -321,9 +334,44 @@ def test_infeasible_pairs_are_typed_results():
     assert optima.hrc[0].reason
 
 
+# The reprs of a frozen-dataclass OptResult, which the NamedTuple keeps.
+FEASIBLE_REPR = (
+    "OptResult(power_w=6.3890560989306495, ee_bps_per_watt=0.19524754198276442, "
+    "feasible=True, lambert_arg=2.7182818284590446, reason='')"
+)
+INFEASIBLE_REPR = (
+    "OptResult(power_w=nan, ee_bps_per_watt=nan, feasible=False, "
+    "lambert_arg=-0.3642006467597279, "
+    "reason='overhead-driven term C*g2 does not exceed the denominator power')"
+)
+
+
+def test_opt_result_record_contract():
+    feasible = optimal_power(EXACT_PROBLEM)
+    infeasible = optimal_power(
+        OptProblem(gain=1e-13, denom_power_w=1e-10, overheads=PowerOverheads(10.0, 0.0))
+    )
+    assert repr(feasible) == FEASIBLE_REPR
+    assert repr(infeasible) == INFEASIBLE_REPR
+    assert OptResult._fields == ("power_w", "ee_bps_per_watt", "feasible", "lambert_arg", "reason")
+    assert OptResult(1.0, 2.0, True, 3.0).reason == ""
+    for result in (feasible, infeasible):
+        with pytest.raises(AttributeError):
+            result.power_w = 1.0
+        with pytest.raises(AttributeError):
+            result.reason = "changed"
+        twin = OptResult(*result)
+        assert twin is not result
+        assert twin == result and hash(twin) == hash(result)
+    assert feasible != infeasible
+    changed = feasible._replace(ee_bps_per_watt=1.0)
+    assert changed.ee_bps_per_watt == 1.0 and changed.power_w == feasible.power_w
+    assert repr(feasible) == FEASIBLE_REPR
+
+
 def _bits(result):
     """Every field of an OptResult as its repr: exact floats, NaN equal to NaN."""
-    return [repr(getattr(result, f.name)) for f in fields(result)]
+    return [repr(getattr(result, name)) for name in result._fields]
 
 
 def _reference_optima(scn, state, coupling):
@@ -341,7 +389,7 @@ def _reference_optima(scn, state, coupling):
         pair_at_optimum = optimum_pair(result.power_w)
         bps = throughput(scn.sensing, scn.env, [pair_at_optimum], device, primary)
         ee = energy_efficiency(bps, result.power_w, scn.overheads)
-        return problem, replace(result, ee_bps_per_watt=ee)
+        return problem, result._replace(ee_bps_per_watt=ee)
 
     hrc, mrc = [], []
     for pair in scn.pairs:

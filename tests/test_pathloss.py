@@ -123,3 +123,69 @@ def test_gain_decreases_with_distance(d, f, omega):
 @given(pl=st.floats(min_value=-50.0, max_value=250.0))
 def test_gain_inverts_pathloss(pl):
     assert power_gain(pl) * 10.0 ** (pl / 10.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def _two_call_average_db(distance_m, carrier_ghz, los_probability, combine):
+    """pathloss_average_db as it was written with one validated call per
+    formula, each taking its own logarithms."""
+    if not (0.0 <= los_probability <= 1.0):
+        raise ValueError(f"los_probability must lie in [0, 1], got {los_probability!r}")
+    terms = []
+    for slope, intercept, freq_slope in ((22.0, 28.0, 20.0), (36.7, 22.7, 26.0)):
+        if not math.isfinite(distance_m) or distance_m <= 0.0:
+            raise ValueError(f"distance_m must be finite and > 0, got {distance_m!r}")
+        if not math.isfinite(carrier_ghz) or carrier_ghz <= 0.0:
+            raise ValueError(f"carrier_ghz must be finite and > 0, got {carrier_ghz!r}")
+        terms.append(
+            slope * math.log10(distance_m) + intercept + freq_slope * math.log10(carrier_ghz)
+        )
+    los, nlos = terms
+    if combine == "db":
+        return los_probability * los + (1.0 - los_probability) * nlos
+    if combine == "linear":
+        mixed = los_probability * 10.0 ** (-los / 10.0) + (1.0 - los_probability) * 10.0 ** (
+            -nlos / 10.0
+        )
+        return -10.0 * math.log10(mixed)
+    raise ValueError(f"combine must be 'db' or 'linear', got {combine!r}")
+
+
+def test_average_is_bit_identical_to_two_call_form():
+    distances = [m * 10.0**e for e in range(-3, 6) for m in (1.0, 1.37, 2.5, 5.0, 7.93)] + [1e6]
+    carriers = [0.5, 0.9, 1.0, 2.4, 3.5, 5.0, 5.8, 6.0, 10.0, 28.0, 39.0, 60.0, 73.5, 100.0]
+    checked = 0
+    for d in distances:
+        for f in carriers:
+            for omega in (0.0, 0.3, 0.5, 1.0):
+                for combine in ("db", "linear"):
+                    got = pathloss_average_db(d, f, omega, combine)
+                    expected = _two_call_average_db(d, f, omega, combine)
+                    assert got.hex() == expected.hex(), (d, f, omega, combine)
+                    checked += 1
+    assert checked == 46 * 14 * 4 * 2
+    assert pathloss_los_db(37.0, 2.4) == _two_call_average_db(37.0, 2.4, 1.0, "db")
+    assert pathloss_nlos_db(37.0, 2.4) == _two_call_average_db(37.0, 2.4, 0.0, "db")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, 5.0, 0.5, "db"),
+        (-1.0, 5.0, 0.5, "linear"),
+        (math.nan, 5.0, 0.5, "db"),
+        (math.inf, 5.0, 0.5, "db"),
+        (100.0, 0.0, 0.5, "db"),
+        (100.0, -2.0, 0.5, "linear"),
+        (100.0, math.nan, 0.5, "db"),
+        (100.0, 5.0, 0.5, "median"),
+        (0.0, 5.0, 0.5, "median"),
+        (0.0, 5.0, 1.5, "db"),
+        (100.0, 5.0, math.nan, "db"),
+    ],
+)
+def test_average_raises_the_two_call_messages(args):
+    with pytest.raises(ValueError) as expected:
+        _two_call_average_db(*args)
+    with pytest.raises(ValueError) as got:
+        pathloss_average_db(*args)
+    assert str(got.value) == str(expected.value)
