@@ -11,8 +11,8 @@ throughput in bits/second, energy efficiency in bits/second/watt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+import sys
+from typing import List, NamedTuple, Optional, Sequence
 
 from .units import noise_power_w
 
@@ -43,6 +43,8 @@ MRC = "mrc"
 STATES = (EFFECTUAL, INTERFERENCE)
 DEVICES = (HRC, MRC)
 
+_FLOAT_MIN = sys.float_info.min
+
 
 def _check_probability(name: str, value: float) -> None:
     if not (0.0 <= value <= 1.0) or not math.isfinite(value):
@@ -59,6 +61,14 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
+def _check_normal(name: str, value: float) -> None:
+    """``_check_positive``, and a subnormal value raises too: it carries few
+    bits, so a closed form or product formed from it loses them."""
+    _check_positive(name, value)
+    if value < _FLOAT_MIN:
+        raise ValueError(f"{name} {value!r} is below the smallest normal float {_FLOAT_MIN!r}")
+
+
 def _check_state(state: str) -> None:
     if state not in STATES:
         raise ValueError(f"state must be one of {STATES}, got {state!r}")
@@ -69,20 +79,59 @@ def _check_device(device: str) -> None:
         raise ValueError(f"device must be one of {DEVICES}, got {device!r}")
 
 
-@dataclass(frozen=True)
-class SensingProfile:
-    """Spectrum-sensing timing and probabilities shared by all devices.
+class _Checked:
+    """Mixin for a ``NamedTuple`` record whose fields ``__post_init__`` checks.
 
-    p_inactive / p_active weight the effectual and interference terms; they
-    are swept independently and are not constrained to sum to one.
+    Each record lists its fields in a ``NamedTuple`` base and subclasses it
+    with ``__new__``, which builds the tuple and calls ``self.__post_init__()``.
+    ``_make``, and so ``_replace``, builds through ``__new__`` as well, so
+    every copy is checked too.  ``__new__`` takes explicit parameters
+    because a ``*args, **kwargs`` form is slower, and records are built
+    once per pair or per oracle draw.
     """
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+_tuple_new = tuple.__new__
+
+
+class _SensingProfileFields(NamedTuple):
     t_transmit_s: float
     t_sense_s: float
     p_inactive: float = 0.5
     p_active: float = 0.5
     p_false_alarm: float = 0.1
     p_detection: float = 0.9
+
+
+class SensingProfile(_Checked, _SensingProfileFields):
+    """Spectrum-sensing timing and probabilities shared by all devices.
+
+    p_inactive / p_active weight the effectual and interference terms; they
+    are swept independently and are not constrained to sum to one.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        t_transmit_s: float,
+        t_sense_s: float,
+        p_inactive: float = 0.5,
+        p_active: float = 0.5,
+        p_false_alarm: float = 0.1,
+        p_detection: float = 0.9,
+    ) -> SensingProfile:
+        self = _tuple_new(
+            cls, (t_transmit_s, t_sense_s, p_inactive, p_active, p_false_alarm, p_detection)
+        )
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         _check_positive("t_transmit_s", self.t_transmit_s)
@@ -101,13 +150,23 @@ class SensingProfile:
         return self.p_detection >= 0.9 and self.p_false_alarm <= 0.1
 
 
-@dataclass(frozen=True)
-class RadioEnvironment:
-    """Shared physical context: bandwidth, noise PSD, carrier frequency."""
-
+class _RadioEnvironmentFields(NamedTuple):
     bandwidth_hz: float
     noise_psd_dbm_hz: float
     carrier_ghz: float
+
+
+class RadioEnvironment(_Checked, _RadioEnvironmentFields):
+    """Shared physical context: bandwidth, noise PSD, carrier frequency."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, bandwidth_hz: float, noise_psd_dbm_hz: float, carrier_ghz: float
+    ) -> RadioEnvironment:
+        self = _tuple_new(cls, (bandwidth_hz, noise_psd_dbm_hz, carrier_ghz))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         _check_positive("bandwidth_hz", self.bandwidth_hz)
@@ -120,18 +179,28 @@ class RadioEnvironment:
         return noise_power_w(self.noise_psd_dbm_hz, self.bandwidth_hz)
 
 
-@dataclass(frozen=True)
-class DevicePair:
+class _DevicePairFields(NamedTuple):
+    hrc_power_w: float
+    mrc_power_w: float
+    hrc_gain: float
+    mrc_gain: float
+
+
+class DevicePair(_Checked, _DevicePairFields):
     """One HRC + one MRC device sharing a subcarrier.
 
     Gains are linear power ratios, given directly or resolved from
     distances by the scenario loader; the distances are not kept.
     """
 
-    hrc_power_w: float
-    mrc_power_w: float
-    hrc_gain: float
-    mrc_gain: float
+    __slots__ = ()
+
+    def __new__(
+        cls, hrc_power_w: float, mrc_power_w: float, hrc_gain: float, mrc_gain: float
+    ) -> DevicePair:
+        self = _tuple_new(cls, (hrc_power_w, mrc_power_w, hrc_gain, mrc_gain))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         _check_nonnegative("hrc_power_w", self.hrc_power_w)
@@ -157,12 +226,20 @@ def _sic_ordering_holds(
     return hrc_power_w * hrc_gain > mrc_power_w * mrc_gain
 
 
-@dataclass(frozen=True)
-class PrimaryLink:
-    """Primary transmitter as seen by the base station."""
-
+class _PrimaryLinkFields(NamedTuple):
     power_w: float
     gain: float
+
+
+class PrimaryLink(_Checked, _PrimaryLinkFields):
+    """Primary transmitter as seen by the base station."""
+
+    __slots__ = ()
+
+    def __new__(cls, power_w: float, gain: float) -> PrimaryLink:
+        self = _tuple_new(cls, (power_w, gain))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         _check_nonnegative("power_w", self.power_w)
@@ -173,12 +250,20 @@ class PrimaryLink:
         return self.power_w * self.gain
 
 
-@dataclass(frozen=True)
-class PowerOverheads:
-    """Fixed power draw added to every energy-efficiency denominator."""
-
+class _PowerOverheadsFields(NamedTuple):
     circuit_w: float
     sensing_w: float
+
+
+class PowerOverheads(_Checked, _PowerOverheadsFields):
+    """Fixed power draw added to every energy-efficiency denominator."""
+
+    __slots__ = ()
+
+    def __new__(cls, circuit_w: float, sensing_w: float) -> PowerOverheads:
+        self = _tuple_new(cls, (circuit_w, sensing_w))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         _check_nonnegative("circuit_w", self.circuit_w)
@@ -194,13 +279,7 @@ class PowerOverheads:
         return self.circuit_w + self.sensing_w
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    """One evaluated (throughput, EE, power) record at a given p_x and state.
-
-    throughput_bps is the per-pair mean (the headline "average" series).
-    """
-
+class _MetricPointFields(NamedTuple):
     p_x: float
     state: str
     device: str
@@ -208,6 +287,31 @@ class MetricPoint:
     ee_bps_per_watt: float
     tx_power_w: float
     optimized: bool
+
+
+class MetricPoint(_Checked, _MetricPointFields):
+    """One evaluated (throughput, EE, power) record at a given p_x and state.
+
+    throughput_bps is the per-pair mean (the headline "average" series).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        p_x: float,
+        state: str,
+        device: str,
+        throughput_bps: float,
+        ee_bps_per_watt: float,
+        tx_power_w: float,
+        optimized: bool,
+    ) -> MetricPoint:
+        self = _tuple_new(
+            cls, (p_x, state, device, throughput_bps, ee_bps_per_watt, tx_power_w, optimized)
+        )
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         _check_state(self.state)
@@ -237,11 +341,12 @@ def _kappa_b(sensing: SensingProfile, env: RadioEnvironment, state: str) -> floa
 
 
 def _base_denominator_w(env: RadioEnvironment, primary: Optional[PrimaryLink] = None) -> float:
-    """Noise power, plus the primary's received power in the interference state; checked > 0."""
+    """Noise power, plus the primary's received power in the interference
+    state; checked finite and normal (``_check_normal``)."""
     base = env.noise_w()
     if primary is not None:
         base += primary.received_w()
-    _check_positive("denom_power_w", base)
+    _check_normal("denom_power_w", base)
     return base
 
 

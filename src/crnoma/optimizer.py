@@ -21,8 +21,6 @@ by the prefactor.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .lambertw import lambert_w0
@@ -32,10 +30,14 @@ from .metrics import (
     PowerOverheads,
     _base_denominator_w,
     _check_nonnegative,
+    _check_normal,
     _check_positive,
     _check_state,
+    _Checked,
+    _FLOAT_MIN,
     _kappa_b,
     _mrc_denominators_w,
+    _tuple_new,
 )
 
 __all__ = [
@@ -55,31 +57,33 @@ _ORACLE_P_START_W = 1e6
 _ORACLE_P_CAP_W = 1e12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_E = math.exp(-1.0)
-_FLOAT_MIN = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class OptProblem:
+class _OptProblemFields(NamedTuple):
+    gain: float
+    denom_power_w: float
+    overheads: PowerOverheads
+
+
+class OptProblem(_Checked, _OptProblemFields):
     """Single-device EE maximization instance on the normalized curve.
 
     denom_power_w bundles noise plus all interference received powers for
     one device and state.
     """
 
-    gain: float
-    denom_power_w: float
-    overheads: PowerOverheads
+    __slots__ = ()
+
+    def __new__(cls, gain: float, denom_power_w: float, overheads: PowerOverheads) -> OptProblem:
+        self = _tuple_new(cls, (gain, denom_power_w, overheads))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         _check_positive("gain", self.gain)
-        _check_positive("denom_power_w", self.denom_power_w)
         # A subnormal D carries few bits, and C*g2 - D is then formed on the
         # subnormal grid, so the closed form would return a wrong finite p*.
-        if self.denom_power_w < _FLOAT_MIN:
-            raise ValueError(
-                f"denom_power_w {self.denom_power_w!r} is below the smallest normal "
-                f"float {_FLOAT_MIN!r}"
-            )
+        _check_normal("denom_power_w", self.denom_power_w)
 
 
 class OptResult(NamedTuple):
@@ -89,8 +93,7 @@ class OptResult(NamedTuple):
     typed result rather than an exception; power_w is NaN in that case.
     ee_bps_per_watt is evaluated at power_w: normalized (kappa * b = 1)
     from ``optimal_power``, scaled by the prefactor from ``optimize_scenario``.
-    An immutable ``NamedTuple``, which builds faster than a frozen dataclass
-    (there is one per pair, device and state); ``_replace`` gives a changed copy.
+    An immutable ``NamedTuple``; ``_replace`` gives a changed copy.
     """
 
     power_w: float
@@ -223,8 +226,7 @@ def numerical_argmax(problem: OptProblem) -> float:
     return 0.5 * (a + b)
 
 
-@dataclass(frozen=True)
-class ScenarioOptima:
+class ScenarioOptima(NamedTuple):
     """Per-pair closed-form optima for both device classes in one state."""
 
     hrc: Tuple[OptResult, ...]

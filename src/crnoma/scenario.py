@@ -13,10 +13,9 @@ import hashlib
 import math
 import reprlib
 import sys
-from dataclasses import dataclass
 from functools import cached_property, partial
 from importlib import resources
-from typing import Callable, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 import yaml
 
@@ -30,6 +29,7 @@ from .metrics import (
     RadioEnvironment,
     SensingProfile,
     _check_device,
+    _Checked,
     _check_positive,
     _check_probability,
     _check_state,
@@ -37,6 +37,7 @@ from .metrics import (
     _detection_term,
     _pair_rates,
     _sic_ordering_holds,
+    _tuple_new,
     duty_factor,
 )
 from .optimizer import _check_coupling, _coupled_hrc_powers, optimize_scenario
@@ -139,10 +140,7 @@ def _named_map(section: str, build: Callable[..., T], *columns) -> Tuple[T, ...]
     return tuple(built)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Validated, immutable scenario ready for evaluation."""
-
+class _ScenarioFields(NamedTuple):
     env: RadioEnvironment
     sensing: SensingProfile
     pairs: Tuple[DevicePair, ...]
@@ -152,6 +150,38 @@ class Scenario:
     unit_mode: str = "watt"
     label: str = "unnamed"
     notes: Tuple[str, ...] = ()
+
+
+class Scenario(_Checked, _ScenarioFields):
+    """Validated, immutable scenario ready for evaluation.
+
+    No ``__slots__``: the instance ``__dict__`` holds the ``_optima`` memo,
+    and ``__setattr__`` keeps every other attribute unassignable.
+    """
+
+    def __new__(
+        cls,
+        env: RadioEnvironment,
+        sensing: SensingProfile,
+        pairs: Tuple[DevicePair, ...],
+        primary: PrimaryLink,
+        overheads: PowerOverheads,
+        sweep_grid: Tuple[float, ...],
+        unit_mode: str = "watt",
+        label: str = "unnamed",
+        notes: Tuple[str, ...] = (),
+    ) -> Scenario:
+        self = _tuple_new(
+            cls, (env, sensing, pairs, primary, overheads, sweep_grid, unit_mode, label, notes)
+        )
+        self.__post_init__()
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __post_init__(self) -> None:
         # Named as the YAML names them, so the loader raises these unwrapped.
@@ -190,14 +220,13 @@ class Scenario:
         """``optimize_scenario``'s results for this scenario, filled on demand.
 
         Not a field, so ``repr``, ``==``, ``hash``, ``content_hash`` and
-        ``replace`` ignore it, and a replaced scenario starts empty.  Every
+        ``_replace`` ignore it, and a replaced scenario starts empty.  Every
         field is frozen, so a stored result cannot go stale.
         """
         return {}
 
 
-@dataclass(frozen=True)
-class SweepSeries:
+class SweepSeries(NamedTuple):
     """One (state, device, optimized) data series over the p_x grid, as columns.
 
     ``throughput_bps[i]`` and ``ee_bps_per_watt[i]`` are the per-pair means

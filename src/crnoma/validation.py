@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .lambertw import BRANCH_POINT, lambert_w0
 from .metrics import (
@@ -54,8 +53,7 @@ REFERENCE_IMPROVEMENTS = (
 FLAGGED_IMPROVEMENT = ("hrc_effectual_throughput", 1.409e6, 8.835e6, 84.05, 83.13)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float
@@ -70,8 +68,7 @@ class CheckResult:
         return text
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: Tuple[CheckResult, ...]
     seed: int
     trials: int

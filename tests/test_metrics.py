@@ -1,7 +1,7 @@
 """Link metrics: throughputs, EE, improvement percentage."""
 
-import dataclasses
 import math
+import sys
 from unittest import mock
 
 import pytest
@@ -12,6 +12,7 @@ import crnoma.optimizer
 from crnoma import (
     EFFECTUAL,
     HRC,
+    INTERFERENCE,
     MRC,
     DevicePair,
     MetricPoint,
@@ -377,7 +378,7 @@ def test_overflowing_mrc_denominator_raises_on_every_path():
     # throughput, the original series and the optimizer build D on one path.
     scenario = make_scenario()
     huge = pair(hrc_power=1e308, mrc_power=0.3, hrc_gain=1e10, mrc_gain=4e-14)
-    scenario = dataclasses.replace(scenario, pairs=(scenario.pairs[0], huge))
+    scenario = scenario._replace(pairs=(scenario.pairs[0], huge))
     calls = {
         "throughput": lambda: throughput(scenario.sensing, scenario.env, scenario.pairs, MRC),
         "run_sweep": lambda: run_sweep(scenario, EFFECTUAL, MRC, False),
@@ -392,6 +393,35 @@ def test_overflowing_mrc_denominator_raises_on_every_path():
     with pytest.raises(ValueError) as err:
         throughput(sensing(), UNIT_ENV, [pair(), loud], MRC)
     assert str(err.value) == "mrc pair 1: S/D = inf is not finite"
+
+
+def test_subnormal_noise_power_raises_on_every_path(default_scenario):
+    # Built in the library (the loader rejects this noise power, exit 2):
+    # with a 4e-322 W base denominator the optimizer solved the HRC p* to
+    # 8.744961931390e-12 W where the same problem scaled by 2**600 gives
+    # 8.749409688712e-12 W.  All three paths take D from one function.
+    env = default_scenario.env._replace(bandwidth_hz=1.0, noise_psd_dbm_hz=-3184.0)
+    noise = env.noise_w()
+    assert 0.0 < noise < sys.float_info.min
+    scenario = default_scenario._replace(
+        env=env,
+        pairs=(default_scenario.pairs[0]._replace(hrc_gain=1e-310, mrc_gain=1e-310),),
+        overheads=PowerOverheads(1.5 * noise / 1e-310, 0.0),
+    )
+    calls = {
+        "throughput": lambda: throughput(scenario.sensing, scenario.env, scenario.pairs, HRC),
+        "run_sweep": lambda: run_sweep(scenario, EFFECTUAL, HRC, False),
+        "optimize_scenario": lambda: optimize_scenario(scenario, EFFECTUAL),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == (
+            f"denom_power_w {noise!r} is below the smallest normal float {sys.float_info.min!r}"
+        ), name
+    # The interference state adds the primary's received power, so its D is
+    # normal and accepted (C*g2 < D here, so the pair is infeasible).
+    assert not optimize_scenario(scenario, INTERFERENCE).hrc[0].feasible
 
 
 def test_sic_ordering_ok():

@@ -3,7 +3,6 @@
 import math
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,7 +74,7 @@ def test_ee_of_power_zero_prefactor(default_scenario):
         (INTERFERENCE, {"p_active": 0.0}),
         (INTERFERENCE, {"p_detection": 1.0}),
     ):
-        dead = replace(default_scenario, sensing=replace(default_scenario.sensing, **zeroing))
+        dead = default_scenario._replace(sensing=default_scenario.sensing._replace(**zeroing))
         live = optimize_scenario(default_scenario, state)
         optima = optimize_scenario(dead, state)
         for got, expected in zip(optima.hrc + optima.mrc, live.hrc + live.mrc):
@@ -196,8 +195,7 @@ def test_prefactor_independence(default_scenario):
     """p_x, p_f, p_d and duty never move a scenario's optimal powers."""
     rng = random.Random(7)
     sensings = [
-        replace(
-            default_scenario.sensing,
+        default_scenario.sensing._replace(
             # The first profile has both state probabilities at zero.
             p_inactive=rng.random() if i else 0.0,
             p_active=rng.random() if i else 0.0,
@@ -211,7 +209,7 @@ def test_prefactor_independence(default_scenario):
         for coupling in ("nominal", "cascaded"):
             expected = optimize_scenario(default_scenario, state, coupling)
             for sensing in sensings:
-                scn = replace(default_scenario, sensing=sensing)
+                scn = default_scenario._replace(sensing=sensing)
                 optima = optimize_scenario(scn, state, coupling)
                 for got, want in zip(optima.hrc + optima.mrc, expected.hrc + expected.mrc):
                     assert repr((got.power_w, got.lambert_arg, got.feasible)) == repr(
@@ -394,7 +392,7 @@ def _reference_optima(scn, state, coupling):
     hrc, mrc = [], []
     for pair in scn.pairs:
         hrc_problem = OptProblem(gain=pair.hrc_gain, denom_power_w=base, overheads=scn.overheads)
-        hrc.append(solve(hrc_problem, "hrc", lambda p: replace(pair, hrc_power_w=p)))
+        hrc.append(solve(hrc_problem, "hrc", lambda p: pair._replace(hrc_power_w=p)))
         hrc_power = pair.hrc_power_w
         if coupling == "cascaded" and hrc[-1][1].feasible:
             hrc_power = hrc[-1][1].power_w
@@ -407,7 +405,7 @@ def _reference_optima(scn, state, coupling):
             solve(
                 mrc_problem,
                 "mrc",
-                lambda p: replace(pair, mrc_power_w=p, hrc_power_w=hrc_power),
+                lambda p: pair._replace(mrc_power_w=p, hrc_power_w=hrc_power),
             )
         )
     return hrc, mrc
@@ -476,7 +474,7 @@ def test_optimum_ee_is_energy_efficiency_of_throughput(default_scenario, state, 
             p_false_alarm=rng.random(),
             p_detection=rng.random(),
         )
-        scn = replace(default_scenario, sensing=sensing)
+        scn = default_scenario._replace(sensing=sensing)
         optima = optimize_scenario(scn, state, coupling)
         for pair, hrc, mrc in zip(scn.pairs, optima.hrc, optima.mrc):
             hrc_power = hrc.power_w if coupling == "cascaded" and hrc.feasible else pair.hrc_power_w
@@ -484,9 +482,9 @@ def test_optimum_ee_is_energy_efficiency_of_throughput(default_scenario, state, 
                 if not result.feasible:
                     continue
                 if device == "hrc":
-                    optimum_pair = replace(pair, hrc_power_w=result.power_w)
+                    optimum_pair = pair._replace(hrc_power_w=result.power_w)
                 else:
-                    optimum_pair = replace(pair, mrc_power_w=result.power_w, hrc_power_w=hrc_power)
+                    optimum_pair = pair._replace(mrc_power_w=result.power_w, hrc_power_w=hrc_power)
                 checked += 1
                 bps = throughput(sensing, scn.env, [optimum_pair], device, primary)
                 expected = energy_efficiency(bps, result.power_w, scn.overheads)

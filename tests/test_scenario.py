@@ -7,7 +7,6 @@ import re
 import sys
 import threading
 import warnings
-from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -393,14 +392,14 @@ def _reference_pairs(scn, state, device, optimized, coupling):
     pairs = []
     for pair, hrc, mrc in zip(scn.pairs, optima.hrc, optima.mrc):
         if device == "hrc":
-            pairs.append(replace(pair, hrc_power_w=hrc.power_w) if hrc.feasible else pair)
+            pairs.append(pair._replace(hrc_power_w=hrc.power_w) if hrc.feasible else pair)
         elif not mrc.feasible:
             pairs.append(pair)
         else:
             hrc_power = pair.hrc_power_w
             if coupling == "cascaded" and hrc.feasible:
                 hrc_power = hrc.power_w
-            pairs.append(replace(pair, mrc_power_w=mrc.power_w, hrc_power_w=hrc_power))
+            pairs.append(pair._replace(mrc_power_w=mrc.power_w, hrc_power_w=hrc_power))
     return pairs
 
 
@@ -415,9 +414,9 @@ def _reference_points(scn, state, device, pairs):
     mean_tx = tx_total / n
     for p_x in scn.sweep_grid:
         if state == EFFECTUAL:
-            sensing, primary = replace(scn.sensing, p_inactive=p_x), None
+            sensing, primary = scn.sensing._replace(p_inactive=p_x), None
         else:
-            sensing, primary = replace(scn.sensing, p_active=p_x), scn.primary
+            sensing, primary = scn.sensing._replace(p_active=p_x), scn.primary
         total = 0.0
         for pair in pairs:
             total += throughput(sensing, scn.env, [pair], device, primary)
@@ -454,8 +453,8 @@ def test_points_view_rebuilds_metric_points_from_columns(
         points, series.p_x, series.throughput_bps, series.ee_bps_per_watt
     ):
         expected = MetricPoint(p_x, state, device, mean, ee, series.tx_power_w, optimized)
-        for field in fields(MetricPoint):
-            assert repr(getattr(point, field.name)) == repr(getattr(expected, field.name))
+        for field in MetricPoint._fields:
+            assert repr(getattr(point, field)) == repr(getattr(expected, field))
     # A view, not a cache: each access builds a new, equal tuple.
     again = series.points
     assert again == points and again is not points
@@ -530,8 +529,8 @@ def test_memoized_results_do_not_depend_on_call_order(default_scenario):
     cases = {"infeasible hrc": 0, "infeasible mrc": 0, "cascaded fallback": 0}
     for scn in _memo_scenarios(default_scenario):
         for i, (fn, args) in enumerate(MEMO_CALLS):
-            first = fn(replace(scn), *args)
-            late = replace(scn)
+            first = fn(scn._replace(), *args)
+            late = scn._replace()
             for fn_other, other_args in MEMO_CALLS[:i] + MEMO_CALLS[i + 1 :]:
                 fn_other(late, *other_args)
             # repr compares the floats bit for bit, NaN powers included.
@@ -553,7 +552,7 @@ def test_optimized_series_match_per_pair_copies(default_scenario, coupling):
             for device in ("hrc", "mrc"):
                 series = run_sweep(scn, state, device, True, coupling)
                 # A fresh scenario, so the reference solves its own optima.
-                fresh = replace(scn)
+                fresh = scn._replace()
                 optima = optimize_scenario(fresh, state, coupling)
                 results = optima.hrc if device == "hrc" else optima.mrc
                 infeasible = tuple(i for i, r in enumerate(results) if not r.feasible)
@@ -580,14 +579,14 @@ def test_replaced_scenario_starts_without_memo():
     full = optimize_scenario(scn, EFFECTUAL, "cascaded")
     # The memo is no field: repr, hash, content_hash and == ignore it.
     assert (repr(scn), hash(scn), scn.content_hash()) == before
-    assert scn == replace(scn)
+    assert scn == scn._replace()
     assert optimize_scenario(scn, EFFECTUAL, "cascaded") is full
 
-    fewer = replace(scn, pairs=scn.pairs[1:])
+    fewer = scn._replace(pairs=scn.pairs[1:])
     optima = optimize_scenario(fewer, EFFECTUAL, "cascaded")
     assert len(optima.hrc) == len(optima.mrc) == 2
     assert repr(optima) == repr(ScenarioOptima(full.hrc[1:], full.mrc[1:]))
-    stronger = replace(scn, primary=replace(scn.primary, power_w=1.0))
+    stronger = scn._replace(primary=scn.primary._replace(power_w=1.0))
     assert repr(optimize_scenario(stronger, EFFECTUAL, "cascaded")) == repr(full)
     assert repr(optimize_scenario(stronger, INTERFERENCE, "cascaded")) != repr(
         optimize_scenario(scn, INTERFERENCE, "cascaded")
@@ -595,8 +594,8 @@ def test_replaced_scenario_starts_without_memo():
 
 
 def test_failed_optimization_is_not_cached(default_scenario):
-    pair = replace(default_scenario.pairs[0], hrc_power_w=1e308, hrc_gain=1e10)
-    scn = replace(default_scenario, pairs=(pair,))
+    pair = default_scenario.pairs[0]._replace(hrc_power_w=1e308, hrc_gain=1e10)
+    scn = default_scenario._replace(pairs=(pair,))
     for _ in range(2):
         with pytest.raises(ValueError, match="denom_power_w must be > 0, got inf"):
             optimize_scenario(scn, EFFECTUAL)
@@ -637,7 +636,7 @@ def test_each_closed_form_is_solved_once_per_scenario(monkeypatch):
 def test_memo_is_exact_under_concurrent_calls(default_scenario):
     """Threads racing to fill one scenario's memo all see the serial results."""
     calls = [(fn, args) for fn, args in MEMO_CALLS if fn is optimize_scenario or args[2]]
-    serial = [repr(fn(replace(default_scenario), *args)) for fn, args in calls]
+    serial = [repr(fn(default_scenario._replace(), *args)) for fn, args in calls]
     wrong = []
 
     def worker(scn, seed, barrier):
@@ -653,7 +652,7 @@ def test_memo_is_exact_under_concurrent_calls(default_scenario):
     sys.setswitchinterval(1e-5)
     try:
         for round_ in range(10):
-            scn = replace(default_scenario)
+            scn = default_scenario._replace()
             barrier = threading.Barrier(8)
             threads = [
                 threading.Thread(target=worker, args=(scn, 8 * round_ + k, barrier))
@@ -674,12 +673,12 @@ def test_scenario_rejects_grid_value_outside_probability(default_scenario):
     for bad in (1.5, math.nan):
         message = rf"p_x must be a probability in \[0, 1\], got {bad!r}"
         with pytest.raises(ValueError, match=message):
-            replace(default_scenario, sweep_grid=(0.0, 0.5, bad))
+            default_scenario._replace(sweep_grid=(0.0, 0.5, bad))
 
 
 def test_content_hash_tracks_content(default_scenario):
     assert default_scenario.content_hash() == default_scenario.content_hash()
-    other = replace(default_scenario, sweep_grid=default_scenario.sweep_grid[:-1])
+    other = default_scenario._replace(sweep_grid=default_scenario.sweep_grid[:-1])
     assert other.content_hash() != default_scenario.content_hash()
 
 
@@ -753,16 +752,16 @@ def test_non_string_label_is_config_error(value):
 
 def test_library_built_scenario_checks_label_type(default_scenario):
     with pytest.raises(ConfigError) as err:
-        replace(default_scenario, label=["a"])
+        default_scenario._replace(label=["a"])
     assert str(err.value) == "label: must be a string, got ['a']"
 
 
 @pytest.mark.parametrize("mode", [["a"], "joules", None])
 def test_library_built_scenario_checks_unit_mode(default_scenario, mode):
     with pytest.raises(ConfigError) as err:
-        replace(default_scenario, unit_mode=mode)
+        default_scenario._replace(unit_mode=mode)
     assert str(err.value) == f"unit_mode: must be one of ('watt', 'dbm'), got {mode!r}"
-    assert replace(default_scenario, unit_mode="dbm").unit_mode == "dbm"
+    assert default_scenario._replace(unit_mode="dbm").unit_mode == "dbm"
 
 
 @pytest.mark.parametrize(
@@ -778,7 +777,7 @@ def test_library_built_scenario_rejects_empty_pairs_and_grid(
 ):
     # Without the check, a sweep divides by zero pairs and validation reads grid[0].
     with pytest.raises(ConfigError) as err:
-        replace(default_scenario, **change)
+        default_scenario._replace(**change)
     assert err.value.field == field
     assert str(err.value) == f"{field}: {message}"
 
@@ -985,13 +984,13 @@ def test_overflowing_series_efficiency_raises():
     tiny = make_scenario(
         hrc_gains=(1e200,), mrc_gains=(1e-14,), hrc_power_w=1e-200, circuit_w=1e-300, sensing_w=0.0
     )
-    scn = replace(tiny, env=replace(tiny.env, bandwidth_hz=1e300, noise_psd_dbm_hz=-3000.0))
+    scn = tiny._replace(env=tiny.env._replace(bandwidth_hz=1e300, noise_psd_dbm_hz=-3000.0))
     with pytest.raises(ValueError) as err:
         run_sweep(scn, EFFECTUAL, "hrc", False)
     assert re.fullmatch(
         r"hrc energy efficiency overflows to inf: 4\.\d+e\+300 bps over 1e-200 W", str(err.value)
     )
     # Past the cheap bound but finite: the means are scanned and the series stands.
-    wide = replace(make_scenario(), env=replace(make_scenario().env, bandwidth_hz=1e306))
+    wide = make_scenario()._replace(env=make_scenario().env._replace(bandwidth_hz=1e306))
     series = run_sweep(wide, EFFECTUAL, "hrc", False)
     assert all(math.isfinite(v) for v in series.throughput_bps + series.ee_bps_per_watt)
