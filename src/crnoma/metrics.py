@@ -79,59 +79,51 @@ def _check_device(device: str) -> None:
         raise ValueError(f"device must be one of {DEVICES}, got {device!r}")
 
 
-class _Checked:
-    """Mixin for a ``NamedTuple`` record whose fields ``__post_init__`` checks.
+def _checked(cls):
+    """Class decorator for a ``NamedTuple`` record whose ``__post_init__``
+    checks its fields, so that no build skips the checks.
 
-    Each record lists its fields in a ``NamedTuple`` base and subclasses it
-    with ``__new__``, which builds the tuple and calls ``self.__post_init__()``.
-    ``_make``, and so ``_replace``, builds through ``__new__`` as well, so
-    every copy is checked too.  ``__new__`` takes explicit parameters
-    because a ``*args, **kwargs`` form is slower, and records are built
-    once per pair or per oracle draw.
+    It generates ``__new__`` from ``_fields`` and ``_field_defaults``, as
+    ``collections.namedtuple`` does, with one more step: the new tuple's
+    ``__post_init__``, looked up on each build, runs before it is returned.
+    ``_make`` builds through ``__new__``, so ``_replace`` is checked too,
+    and ``copy`` and ``pickle`` rebuild through ``__new__`` already.  The
+    parameters are explicit because a ``*args, **kwargs`` wrapper is about
+    twice as slow, and records are built once per pair or per oracle draw.
     """
+    args = ", ".join(cls._fields)
+    namespace = {"_tuple_new": tuple.__new__}
+    exec(
+        f"def __new__(_cls, {args}):\n"
+        f"    self = _tuple_new(_cls, ({args},))\n"
+        "    self.__post_init__()\n"
+        "    return self\n",
+        namespace,
+    )
+    new = namespace["__new__"]
+    new.__defaults__ = tuple(cls._field_defaults.values())
+    # TypeError texts name the function by this, e.g. "DevicePair.__new__()".
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    new.__module__ = cls.__module__
+    cls.__new__ = new
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
-    __slots__ = ()
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-_tuple_new = tuple.__new__
-
-
-class _SensingProfileFields(NamedTuple):
-    t_transmit_s: float
-    t_sense_s: float
-    p_inactive: float = 0.5
-    p_active: float = 0.5
-    p_false_alarm: float = 0.1
-    p_detection: float = 0.9
-
-
-class SensingProfile(_Checked, _SensingProfileFields):
+@_checked
+class SensingProfile(NamedTuple):
     """Spectrum-sensing timing and probabilities shared by all devices.
 
     p_inactive / p_active weight the effectual and interference terms; they
     are swept independently and are not constrained to sum to one.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        t_transmit_s: float,
-        t_sense_s: float,
-        p_inactive: float = 0.5,
-        p_active: float = 0.5,
-        p_false_alarm: float = 0.1,
-        p_detection: float = 0.9,
-    ) -> SensingProfile:
-        self = _tuple_new(
-            cls, (t_transmit_s, t_sense_s, p_inactive, p_active, p_false_alarm, p_detection)
-        )
-        self.__post_init__()
-        return self
+    t_transmit_s: float
+    t_sense_s: float
+    p_inactive: float = 0.5
+    p_active: float = 0.5
+    p_false_alarm: float = 0.1
+    p_detection: float = 0.9
 
     def __post_init__(self) -> None:
         _check_positive("t_transmit_s", self.t_transmit_s)
@@ -150,23 +142,13 @@ class SensingProfile(_Checked, _SensingProfileFields):
         return self.p_detection >= 0.9 and self.p_false_alarm <= 0.1
 
 
-class _RadioEnvironmentFields(NamedTuple):
+@_checked
+class RadioEnvironment(NamedTuple):
+    """Shared physical context: bandwidth, noise PSD, carrier frequency."""
+
     bandwidth_hz: float
     noise_psd_dbm_hz: float
     carrier_ghz: float
-
-
-class RadioEnvironment(_Checked, _RadioEnvironmentFields):
-    """Shared physical context: bandwidth, noise PSD, carrier frequency."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, bandwidth_hz: float, noise_psd_dbm_hz: float, carrier_ghz: float
-    ) -> RadioEnvironment:
-        self = _tuple_new(cls, (bandwidth_hz, noise_psd_dbm_hz, carrier_ghz))
-        self.__post_init__()
-        return self
 
     def __post_init__(self) -> None:
         _check_positive("bandwidth_hz", self.bandwidth_hz)
@@ -179,28 +161,18 @@ class RadioEnvironment(_Checked, _RadioEnvironmentFields):
         return noise_power_w(self.noise_psd_dbm_hz, self.bandwidth_hz)
 
 
-class _DevicePairFields(NamedTuple):
-    hrc_power_w: float
-    mrc_power_w: float
-    hrc_gain: float
-    mrc_gain: float
-
-
-class DevicePair(_Checked, _DevicePairFields):
+@_checked
+class DevicePair(NamedTuple):
     """One HRC + one MRC device sharing a subcarrier.
 
     Gains are linear power ratios, given directly or resolved from
     distances by the scenario loader; the distances are not kept.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls, hrc_power_w: float, mrc_power_w: float, hrc_gain: float, mrc_gain: float
-    ) -> DevicePair:
-        self = _tuple_new(cls, (hrc_power_w, mrc_power_w, hrc_gain, mrc_gain))
-        self.__post_init__()
-        return self
+    hrc_power_w: float
+    mrc_power_w: float
+    hrc_gain: float
+    mrc_gain: float
 
     def __post_init__(self) -> None:
         _check_nonnegative("hrc_power_w", self.hrc_power_w)
@@ -226,20 +198,12 @@ def _sic_ordering_holds(
     return hrc_power_w * hrc_gain > mrc_power_w * mrc_gain
 
 
-class _PrimaryLinkFields(NamedTuple):
-    power_w: float
-    gain: float
-
-
-class PrimaryLink(_Checked, _PrimaryLinkFields):
+@_checked
+class PrimaryLink(NamedTuple):
     """Primary transmitter as seen by the base station."""
 
-    __slots__ = ()
-
-    def __new__(cls, power_w: float, gain: float) -> PrimaryLink:
-        self = _tuple_new(cls, (power_w, gain))
-        self.__post_init__()
-        return self
+    power_w: float
+    gain: float
 
     def __post_init__(self) -> None:
         _check_nonnegative("power_w", self.power_w)
@@ -250,20 +214,12 @@ class PrimaryLink(_Checked, _PrimaryLinkFields):
         return self.power_w * self.gain
 
 
-class _PowerOverheadsFields(NamedTuple):
-    circuit_w: float
-    sensing_w: float
-
-
-class PowerOverheads(_Checked, _PowerOverheadsFields):
+@_checked
+class PowerOverheads(NamedTuple):
     """Fixed power draw added to every energy-efficiency denominator."""
 
-    __slots__ = ()
-
-    def __new__(cls, circuit_w: float, sensing_w: float) -> PowerOverheads:
-        self = _tuple_new(cls, (circuit_w, sensing_w))
-        self.__post_init__()
-        return self
+    circuit_w: float
+    sensing_w: float
 
     def __post_init__(self) -> None:
         _check_nonnegative("circuit_w", self.circuit_w)
@@ -279,7 +235,13 @@ class PowerOverheads(_Checked, _PowerOverheadsFields):
         return self.circuit_w + self.sensing_w
 
 
-class _MetricPointFields(NamedTuple):
+@_checked
+class MetricPoint(NamedTuple):
+    """One evaluated (throughput, EE, power) record at a given p_x and state.
+
+    throughput_bps is the per-pair mean (the headline "average" series).
+    """
+
     p_x: float
     state: str
     device: str
@@ -287,31 +249,6 @@ class _MetricPointFields(NamedTuple):
     ee_bps_per_watt: float
     tx_power_w: float
     optimized: bool
-
-
-class MetricPoint(_Checked, _MetricPointFields):
-    """One evaluated (throughput, EE, power) record at a given p_x and state.
-
-    throughput_bps is the per-pair mean (the headline "average" series).
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        p_x: float,
-        state: str,
-        device: str,
-        throughput_bps: float,
-        ee_bps_per_watt: float,
-        tx_power_w: float,
-        optimized: bool,
-    ) -> MetricPoint:
-        self = _tuple_new(
-            cls, (p_x, state, device, throughput_bps, ee_bps_per_watt, tx_power_w, optimized)
-        )
-        self.__post_init__()
-        return self
 
     def __post_init__(self) -> None:
         _check_state(self.state)

@@ -33,11 +33,10 @@ from .metrics import (
     _check_normal,
     _check_positive,
     _check_state,
-    _Checked,
+    _checked,
     _FLOAT_MIN,
     _kappa_b,
     _mrc_denominators_w,
-    _tuple_new,
 )
 
 __all__ = [
@@ -59,25 +58,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_E = math.exp(-1.0)
 
 
-class _OptProblemFields(NamedTuple):
-    gain: float
-    denom_power_w: float
-    overheads: PowerOverheads
-
-
-class OptProblem(_Checked, _OptProblemFields):
+@_checked
+class OptProblem(NamedTuple):
     """Single-device EE maximization instance on the normalized curve.
 
     denom_power_w bundles noise plus all interference received powers for
     one device and state.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, gain: float, denom_power_w: float, overheads: PowerOverheads) -> OptProblem:
-        self = _tuple_new(cls, (gain, denom_power_w, overheads))
-        self.__post_init__()
-        return self
+    gain: float
+    denom_power_w: float
+    overheads: PowerOverheads
 
     def __post_init__(self) -> None:
         _check_positive("gain", self.gain)

@@ -29,15 +29,14 @@ from .metrics import (
     RadioEnvironment,
     SensingProfile,
     _check_device,
-    _Checked,
     _check_positive,
     _check_probability,
     _check_state,
+    _checked,
     _consumed_power_w,
     _detection_term,
     _pair_rates,
     _sic_ordering_holds,
-    _tuple_new,
     duty_factor,
 )
 from .optimizer import _check_coupling, _coupled_hrc_powers, optimize_scenario
@@ -152,30 +151,15 @@ class _ScenarioFields(NamedTuple):
     notes: Tuple[str, ...] = ()
 
 
-class Scenario(_Checked, _ScenarioFields):
+@_checked
+class Scenario(_ScenarioFields):
     """Validated, immutable scenario ready for evaluation.
 
-    No ``__slots__``: the instance ``__dict__`` holds the ``_optima`` memo,
-    and ``__setattr__`` keeps every other attribute unassignable.
+    Its fields are listed in a separate ``NamedTuple`` base because a
+    ``NamedTuple`` class has ``__slots__ = ()``; this subclass has none, so
+    the instance ``__dict__`` holds the ``_optima`` memo, and
+    ``__setattr__`` keeps every other attribute unassignable.
     """
-
-    def __new__(
-        cls,
-        env: RadioEnvironment,
-        sensing: SensingProfile,
-        pairs: Tuple[DevicePair, ...],
-        primary: PrimaryLink,
-        overheads: PowerOverheads,
-        sweep_grid: Tuple[float, ...],
-        unit_mode: str = "watt",
-        label: str = "unnamed",
-        notes: Tuple[str, ...] = (),
-    ) -> Scenario:
-        self = _tuple_new(
-            cls, (env, sensing, pairs, primary, overheads, sweep_grid, unit_mode, label, notes)
-        )
-        self.__post_init__()
-        return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

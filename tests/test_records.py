@@ -1,9 +1,11 @@
 """The record contract: immutable, checked NamedTuples with stable reprs."""
 
+import copy
 import inspect
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +128,50 @@ CASES = [
     for change, message in invalid
 ]
 
+# Each checked record's TypeError texts for a call with no arguments and for
+# an unknown keyword: they name the record whose constructor was misused.
+TYPE_ERRORS = {
+    SensingProfile: (
+        "SensingProfile.__new__() missing 2 required positional arguments: "
+        "'t_transmit_s' and 't_sense_s'",
+        "SensingProfile.__new__() got an unexpected keyword argument 'bogus'",
+    ),
+    RadioEnvironment: (
+        "RadioEnvironment.__new__() missing 3 required positional arguments: "
+        "'bandwidth_hz', 'noise_psd_dbm_hz', and 'carrier_ghz'",
+        "RadioEnvironment.__new__() got an unexpected keyword argument 'bogus'",
+    ),
+    DevicePair: (
+        "DevicePair.__new__() missing 4 required positional arguments: "
+        "'hrc_power_w', 'mrc_power_w', 'hrc_gain', and 'mrc_gain'",
+        "DevicePair.__new__() got an unexpected keyword argument 'bogus'",
+    ),
+    PrimaryLink: (
+        "PrimaryLink.__new__() missing 2 required positional arguments: 'power_w' and 'gain'",
+        "PrimaryLink.__new__() got an unexpected keyword argument 'bogus'",
+    ),
+    PowerOverheads: (
+        "PowerOverheads.__new__() missing 2 required positional arguments: "
+        "'circuit_w' and 'sensing_w'",
+        "PowerOverheads.__new__() got an unexpected keyword argument 'bogus'",
+    ),
+    MetricPoint: (
+        "MetricPoint.__new__() missing 7 required positional arguments: 'p_x', 'state', "
+        "'device', 'throughput_bps', 'ee_bps_per_watt', 'tx_power_w', and 'optimized'",
+        "MetricPoint.__new__() got an unexpected keyword argument 'bogus'",
+    ),
+    OptProblem: (
+        "OptProblem.__new__() missing 3 required positional arguments: "
+        "'gain', 'denom_power_w', and 'overheads'",
+        "OptProblem.__new__() got an unexpected keyword argument 'bogus'",
+    ),
+    Scenario: (
+        "Scenario.__new__() missing 6 required positional arguments: "
+        "'env', 'sensing', 'pairs', 'primary', 'overheads', and 'sweep_grid'",
+        "Scenario.__new__() got an unexpected keyword argument 'bogus'",
+    ),
+}
+
 # The default scenario's component reprs, written out from the frozen
 # dataclasses these records replaced: ``content_hash`` hashes them, so every
 # CSV's ``# scenario_hash`` line depends on them byte for byte.
@@ -160,6 +206,11 @@ def test_invalid_field_raises_at_construction_and_through_replace(cls, change, m
     with pytest.raises(ValueError) as replaced:
         valid._replace(**change)
     assert str(built.value) == str(replaced.value) == message
+    # copy.replace, new in Python 3.13, calls the NamedTuple's __replace__.
+    if sys.version_info >= (3, 13):
+        with pytest.raises(ValueError) as copied:
+            copy.replace(valid, **change)
+        assert str(copied.value) == message
 
 
 @pytest.mark.parametrize("cls", list(CHECKED), ids=lambda cls: cls.__name__)
@@ -175,6 +226,32 @@ def test_checked_record_is_an_immutable_tuple(cls):
     assert defaults == cls._field_defaults
     assert valid._replace() == valid == cls(*valid) == cls._make(valid)
     assert type(valid._replace()) is cls
+
+
+@pytest.mark.parametrize("cls", list(TYPE_ERRORS), ids=lambda cls: cls.__name__)
+def test_constructor_type_errors_name_the_record(cls):
+    missing, unexpected = TYPE_ERRORS[cls]
+    with pytest.raises(TypeError) as no_arguments:
+        cls()
+    assert str(no_arguments.value) == missing
+    with pytest.raises(TypeError) as bad_keyword:
+        cls(*CHECKED[cls][0], bogus=1)
+    assert str(bad_keyword.value) == unexpected
+
+
+def test_every_public_checked_record_is_decorated_and_tested():
+    # A record that forgets @_checked would build without running its
+    # checks; one missing from CHECKED would have no invalid-input cases.
+    public = [getattr(crnoma, name) for name in crnoma.__all__]
+    checked = [
+        obj
+        for obj in public
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "__post_init__")
+    ]
+    assert set(checked) == set(CHECKED) == set(TYPE_ERRORS)
+    for cls in checked:
+        assert CHECKED[cls][1], cls.__name__
+        assert vars(cls)["__new__"].__qualname__ == f"{cls.__name__}.__new__"
 
 
 def test_default_scenario_reprs_are_unchanged(default_scenario):
@@ -216,6 +293,13 @@ def test_builds_go_through_post_init(monkeypatch, cls):
     cls(*valid)
     valid._replace()
     assert len(calls) == expected + 2
+    # copy and pickle rebuild through __new__ (via __getnewargs__), so they check too.
+    for duplicate in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        before = len(calls)
+        duplicated = duplicate(valid)
+        assert len(calls) == before + 1
+        assert duplicated == valid
+        assert type(duplicated) is cls
 
 
 def test_cli_import_loads_no_dataclasses():
