@@ -368,7 +368,20 @@ def energy_efficiency(
 ) -> float:
     """Throughput over total consumed power (transmit + circuit + sensing)."""
     _check_nonnegative("throughput_bps", throughput_bps)
-    return throughput_bps / _consumed_power_w(tx_power_w, overheads)
+    consumed = _consumed_power_w(tx_power_w, overheads)
+    ee = throughput_bps / consumed
+    if ee == math.inf:
+        raise _ee_overflow(throughput_bps, consumed)
+    return ee
+
+
+def _ee_overflow(rate: float, consumed_w: float) -> ValueError:
+    """The error for an EE quotient that is not finite.
+
+    The rate overflows at a huge S/D, the quotient at a tiny consumed power,
+    and the quotient is NaN when both rate and consumed power are inf.
+    """
+    return ValueError(f"energy efficiency is not finite: {rate!r} over {consumed_w!r} W")
 
 
 def _consumed_power_w(tx_power_w: float, overheads: PowerOverheads) -> float:
@@ -381,8 +394,19 @@ def improvement_percent(original: float, optimized: float) -> float:
     """Relative gain of an optimized value, in percent of the optimized value.
 
     100 * (optimized - original) / optimized; this is the convention that
-    reproduces the reference improvement figures.
+    reproduces the reference improvement figures.  A percentage below the
+    float range raises.
     """
     _check_positive("optimized", optimized)
     _check_nonnegative("original", original)
-    return 100.0 * (optimized - original) / optimized
+    change = optimized - original
+    percent = 100.0 * change / optimized
+    if abs(percent) == math.inf:
+        # 100 * change can overflow although the percentage is finite, e.g. at
+        # optimized = 1e307; dividing first avoids that product.
+        percent = 100.0 * (change / optimized)
+        if percent == -math.inf:
+            raise ValueError(
+                f"improvement of {optimized!r} over {original!r} overflows to -inf percent"
+            )
+    return percent

@@ -34,6 +34,7 @@ from .metrics import (
     _check_positive,
     _check_state,
     _checked,
+    _ee_overflow,
     _FLOAT_MIN,
     _kappa_b,
     _mrc_denominators_w,
@@ -98,8 +99,13 @@ def ee_of_power(power_w: float, problem: OptProblem) -> float:
     """Single-device energy efficiency at a candidate transmit power,
     on the normalized curve kappa * b = 1."""
     _check_nonnegative("power_w", power_w)
-    rate = math.log2(1.0 + power_w * problem.gain / problem.denom_power_w)
-    return rate / (power_w + problem.overheads.total_w)
+    gain, denom, overheads = problem
+    rate = math.log2(1.0 + power_w * gain / denom)
+    consumed = power_w + overheads.total_w
+    ee = rate / consumed
+    if not ee < math.inf:
+        raise _ee_overflow(rate, consumed)
+    return ee
 
 
 def _closed_form(
@@ -151,7 +157,10 @@ def _closed_form(
         return OptResult(
             math.nan, math.nan, False, arg, f"closed form yielded non-positive power {power!r}"
         )
-    ee = kappa_b * math.log2(1.0 + power * g2 / d) / (power + c)
+    rate = kappa_b * math.log2(1.0 + power * g2 / d)
+    ee = rate / (power + c)
+    if not ee < math.inf:
+        raise _ee_overflow(rate, power + c)
     return OptResult(power, ee, True, arg)
 
 
@@ -163,9 +172,8 @@ def optimal_power(
     lambert_fn exists as a validation hook so a deliberately corrupted
     solver can be injected to prove the stationarity checks have teeth.
     """
-    return _closed_form(
-        problem.gain, problem.denom_power_w, problem.overheads.total_w, 1.0, lambert_fn
-    )
+    gain, denom, overheads = problem
+    return _closed_form(gain, denom, overheads.total_w, 1.0, lambert_fn)
 
 
 def numerical_argmax(problem: OptProblem) -> float:
@@ -173,46 +181,55 @@ def numerical_argmax(problem: OptProblem) -> float:
 
     EE is unimodal in the transmit power (log over affine), so golden
     section applies.  The upper bracket starts at 1e6 W and doubles until
-    EE is decreasing there, capped at 1e12 W.  Each section step evaluates
-    its one new probe inline (a call per probe costs more than the
+    EE is decreasing there, capped at 1e12 W.  Every probe, the bracket's
+    included, is evaluated inline (a call per probe costs more than the
     arithmetic), in ``ee_of_power``'s operation order but without its
-    ``power_w >= 0`` check, which no probe in [0, hi] can fail.  Probes and
-    result are therefore bit-identical to a search over ``ee_of_power``;
+    ``power_w >= 0`` check, which no probe in [0, hi] can fail, and without
+    its finiteness check: EE(hi) is finite once the bracket is found, so
+    p * gain / denom is finite at every probe and EE stays below
+    gain / (denom * ln 2).  Probes and result are therefore bit-identical to
+    a search over ``ee_of_power``;
     ``test_numerical_argmax_is_bit_identical_to_reference_search`` pins this.
     """
-    gain = problem.gain
-    denom = problem.denom_power_w
-    overhead = problem.overheads.total_w
+    gain, denom, overheads = problem
+    overhead = overheads.total_w
     log2 = math.log2
 
-    def ee(p: float) -> float:
-        return log2(1.0 + p * gain / denom) / (p + overhead)
-
     hi = _ORACLE_P_START_W
-    while ee(hi) >= ee(hi * 0.5):
+    half = hi * 0.5
+    while log2(1.0 + hi * gain / denom) / (hi + overhead) >= (
+        log2(1.0 + half * gain / denom) / (half + overhead)
+    ):
         hi *= 2.0
         if hi > _ORACLE_P_CAP_W:
             raise ValueError(
                 "could not bracket a decreasing EE tail below "
                 f"{_ORACLE_P_CAP_W:.0e} W; problem appears unbounded"
             )
+        half = hi * 0.5
 
     invphi = _INVPHI
     rel_width = _ORACLE_REL_WIDTH
     a, b = 0.0, hi
-    c = b - (b - a) * invphi
-    d = a + (b - a) * invphi
-    fc, fd = ee(c), ee(d)
+    c = b - hi * invphi
+    d = a + hi * invphi
+    fc = log2(1.0 + c * gain / denom) / (c + overhead)
+    fd = log2(1.0 + d * gain / denom) / (d + overhead)
     # 0 <= a <= b holds throughout, so b is max(abs(a), abs(b)).  Probes
-    # stay in [0, hi] with hi <= 1e12, so each new probe is finite.
-    while (b - a) > rel_width * b:
+    # stay in [0, hi] with hi <= 1e12, so each new probe is finite.  The
+    # width b - a is taken once per step, and the stop limit only when b moves.
+    width, limit = hi, rel_width * hi
+    while width > limit:
         if fc > fd:
             b, d, fd = d, c, fc
-            c = b - (b - a) * invphi
+            width = b - a
+            limit = rel_width * b
+            c = b - width * invphi
             fc = log2(1.0 + c * gain / denom) / (c + overhead)
         else:
             a, c, fc = c, d, fd
-            d = a + (b - a) * invphi
+            width = b - a
+            d = a + width * invphi
             fd = log2(1.0 + d * gain / denom) / (d + overhead)
     return 0.5 * (a + b)
 

@@ -715,6 +715,34 @@ def test_overflowing_closed_form_power_is_named_domain_error(tmp_path, capsys, c
     assert err.endswith(", g2 = 1e-300\n")
 
 
+# One pair at 1e10 / 1e-12 gains, a -3000 dBm/Hz noise PSD and no sensing power.
+TINY_NOISE_EDITS = (
+    ("noise_psd_dbm_hz: -174.0", "noise_psd_dbm_hz: -3000.0"),
+    (
+        "hrc_distances_m: [1200.0, 1400.0, 1600.0, 1800.0, 2000.0]",
+        "hrc_gains: [1.0e+10]",
+    ),
+    ("mrc_distances_m: [1300.0, 1500.0, 1700.0, 1900.0, 2000.0]", "mrc_gains: [1.0e-12]"),
+    ("sensing_power: 1.0", "sensing_power: 0.0"),
+)
+
+
+def test_overflowing_optimum_ee_is_named_domain_error(tmp_path, capsys):
+    # At a 1e-306 W overhead the HRC rate over p* + C overflows.
+    text = _default_with(*TINY_NOISE_EDITS, ("circuit_power: 99.0", "circuit_power: 1.0e-306"))
+    assert _probe_exit(tmp_path, text, "optimize") == 3
+    assert capsys.readouterr().err.startswith("domain error: energy efficiency is not finite: ")
+
+
+def test_improvement_column_is_finite_at_a_huge_optimized_ee(tmp_path, capsys):
+    # The optimized EE is about 8e306, so 100 * (optimized - original) overflows.
+    text = _default_with(*TINY_NOISE_EDITS, ("circuit_power: 99.0", "circuit_power: 1.0e-300"))
+    assert _probe_exit(tmp_path, text) == 0
+    rows = data_rows(capsys.readouterr().out)
+    assert rows[-1].endswith(",1.000000000000e+02")
+    assert not any("inf" in row for row in rows)
+
+
 def test_validate_fails_on_zero_optimized_series(tmp_path, capsys):
     # p_detection = 1 zeroes every interference series; no improvement is defined.
     text = _default_with(("p_detection: 0.9", "p_detection: 1.0"))

@@ -356,6 +356,24 @@ def test_improvement_reference_points():
     )
 
 
+def test_improvement_is_finite_when_the_scaled_change_overflows():
+    # 100 * (optimized - original) overflows; the percentage does not.
+    assert improvement_percent(1.0, 1e307) == 100.0
+    assert improvement_percent(0.0, 1.7976931348623157e308) == 100.0
+
+
+def test_improvement_below_the_float_range_raises():
+    with pytest.raises(ValueError) as err:
+        improvement_percent(1e300, 1e-10)
+    assert str(err.value) == "improvement of 1e-10 over 1e+300 overflows to -inf percent"
+
+
+def test_overflowing_energy_efficiency_raises():
+    with pytest.raises(ValueError) as err:
+        energy_efficiency(1e10, 0.0, PowerOverheads(circuit_w=1e-300, sensing_w=0.0))
+    assert str(err.value) == "energy efficiency is not finite: 10000000000.0 over 1e-300 W"
+
+
 def test_improvement_errors():
     with pytest.raises(ValueError):
         improvement_percent(1.0, 0.0)

@@ -66,6 +66,16 @@ def test_ee_of_power_reference_points():
     assert ee_of_power(EXACT_POWER, EXACT_PROBLEM) == pytest.approx(EXACT_EE, rel=1e-12)
 
 
+def test_overflowing_ee_of_power_raises():
+    # p * g2 / D overflows, so the rate is inf.
+    problem = OptProblem(
+        gain=1e300, denom_power_w=1e-10, overheads=PowerOverheads(circuit_w=1.0, sensing_w=0.0)
+    )
+    with pytest.raises(ValueError) as err:
+        ee_of_power(1.0, problem)
+    assert str(err.value) == "energy efficiency is not finite: inf over 2.0 W"
+
+
 def test_ee_of_power_zero_prefactor(default_scenario):
     """A zero prefactor zeroes the scaled EE and leaves every optimum in place."""
     for state, zeroing in (
