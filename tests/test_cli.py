@@ -2,11 +2,14 @@
 
 import contextlib
 import copy
+import difflib
 import hashlib
 import io
 import math
 import os
 import tempfile
+from itertools import islice
+from pathlib import Path
 
 import pytest
 import yaml
@@ -178,8 +181,10 @@ def test_sweep_to_stdout(capsys):
     assert len(data_rows(captured)) == 102  # header + 101 rows
 
 
-# sha256 of the stdout bytes on the bundled scenario. A change that alters
-# any output byte must say so and update these digests.
+# The bundled scenario's output bytes live in tests/golden/ (rewritten by
+# tests/golden/regenerate.py), each pinned by its sha256 here. A change that
+# alters any output byte must say so and update both file and digest.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SWEEP_SHA256 = {
     ("effectual", "hrc", "nominal"): "924df1a753b122ecbf92769caa8bbe8c4b9edfb0219d2ab86314f657d7996b0f",
     ("effectual", "hrc", "cascaded"): "0a9538bbc920faa86777bf78e50cb70b010f273cbe87f023e463758fac0a788f",
@@ -212,34 +217,74 @@ GOLDEN_OPTIMIZE_SHA256 = {
 }
 
 
-def _stdout_sha256(capsys, argv):
+def _golden_files():
+    """(file name, sha256) of every golden output."""
+    for (state, device, coupling), digest in GOLDEN_SWEEP_SHA256.items():
+        yield f"sweep_{state}_{device}_{coupling}.csv", digest
+    yield "validate.txt", GOLDEN_VALIDATE_SHA256
+    for (state, coupling), (text, csv) in GOLDEN_OPTIMIZE_SHA256.items():
+        yield f"optimize_{state}_{coupling}.txt", text
+        yield f"optimize_{state}_{coupling}.csv", csv
+
+
+GOLDEN_FILE_SHA256 = dict(_golden_files())
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_FILE_SHA256))
+def test_golden_file_matches_its_digest(name):
+    digest = hashlib.sha256((GOLDEN_DIR / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_FILE_SHA256[name]
+
+
+def test_golden_dir_holds_only_pinned_files():
+    pinned = set(GOLDEN_FILE_SHA256) | {"regenerate.py"}
+    assert {path.name for path in GOLDEN_DIR.iterdir() if path.is_file()} == pinned
+
+
+def _assert_golden(name, actual):
+    """Compare output bytes with tests/golden/<name>; on a mismatch, fail
+    with the first differing lines as a unified diff."""
+    expected = (GOLDEN_DIR / name).read_bytes()
+    if actual == expected:
+        return
+    diff = difflib.unified_diff(
+        expected.decode("utf-8").splitlines(),
+        actual.decode("utf-8").splitlines(),
+        f"golden/{name}",
+        "output",
+        n=0,
+        lineterm="",
+    )
+    pytest.fail("output differs from its golden file:\n" + "\n".join(islice(diff, 12)))
+
+
+def _stdout_bytes(capsys, argv):
     assert main(argv) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    return capsys.readouterr().out.encode("utf-8")
 
 
 @pytest.mark.parametrize("state, device, coupling", list(GOLDEN_SWEEP_SHA256))
 def test_sweep_bytes_are_golden(capsys, monkeypatch, state, device, coupling):
     monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
     argv = ["sweep", "--state", state, "--device", device, "--coupling", coupling]
-    assert _stdout_sha256(capsys, argv) == GOLDEN_SWEEP_SHA256[(state, device, coupling)]
+    _assert_golden(f"sweep_{state}_{device}_{coupling}.csv", _stdout_bytes(capsys, argv))
 
 
 def test_validate_bytes_are_golden(capsys, monkeypatch):
     monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
     argv = ["validate", "--trials", "1000", "--seed", "0"]
-    assert _stdout_sha256(capsys, argv) == GOLDEN_VALIDATE_SHA256
+    _assert_golden("validate.txt", _stdout_bytes(capsys, argv))
 
 
 @pytest.mark.parametrize("state, coupling", list(GOLDEN_OPTIMIZE_SHA256))
 def test_optimize_bytes_are_golden(tmp_path, capsys, monkeypatch, state, coupling):
     monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
     argv = ["optimize", "--state", state, "--coupling", coupling]
-    text = _stdout_sha256(capsys, argv)
+    _assert_golden(f"optimize_{state}_{coupling}.txt", _stdout_bytes(capsys, argv))
     out = tmp_path / "optima.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote 10 rows to {out}\n"
-    csv = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert (text, csv) == GOLDEN_OPTIMIZE_SHA256[(state, coupling)]
+    _assert_golden(f"optimize_{state}_{coupling}.csv", out.read_bytes())
 
 
 def test_optimize_exact_power(tmp_path, capsys):
