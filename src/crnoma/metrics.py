@@ -271,7 +271,9 @@ def _detection_term(sensing: SensingProfile, state: str) -> float:
 def _kappa_b(sensing: SensingProfile, env: RadioEnvironment, state: str) -> float:
     """Rate prefactor duty * p_x(state) * (1 - p_false_alarm | 1 - p_detection) * b.
 
-    Rounded left to right, the order ``run_sweep`` also uses.
+    Rounded left to right.  ``run_sweep`` forms the same product with each
+    grid p_x and multiplies it by the same rate sum, so each of its rows is
+    ``throughput(...) / n`` bit for bit.
     """
     p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
     return duty_factor(sensing) * p_state * _detection_term(sensing, state) * env.bandwidth_hz
@@ -354,11 +356,16 @@ def throughput(
     # Each rate is finite, so only the prefactor's product can overflow.
     summed = kappa_b * total
     if summed == math.inf:
-        raise ValueError(
-            f"{device} throughput overflows to inf: prefactor {kappa_b!r} Hz "
-            f"times rate sum {total!r}"
-        )
+        raise _throughput_overflow(device, kappa_b, total)
     return summed
+
+
+def _throughput_overflow(device: str, kappa_b: float, rate_sum: float) -> ValueError:
+    """The error for a prefactor times rate sum that overflows to inf."""
+    return ValueError(
+        f"{device} throughput overflows to inf: prefactor {kappa_b!r} Hz "
+        f"times rate sum {rate_sum!r}"
+    )
 
 
 def energy_efficiency(

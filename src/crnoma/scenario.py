@@ -37,6 +37,7 @@ from .metrics import (
     _detection_term,
     _pair_rates,
     _sic_ordering_holds,
+    _throughput_overflow,
     duty_factor,
 )
 from .optimizer import _check_coupling, _coupled_hrc_powers, optimize_scenario
@@ -533,10 +534,12 @@ def run_sweep(
     the same scenario reuse the same ``ScenarioOptima``.  The powers a
     series evaluates are held as HRC and MRC columns; no pair is copied.
 
-    Throughput is linear in p_x, so each pair's Shannon rate is computed
-    once per series; every grid point then costs O(1) work per pair (one
-    scaling and one addition). The series is stored as columns, so no
-    per-point record is built.
+    Throughput is linear in p_x, so the pairs' Shannon rates are summed once
+    per series and every grid point costs one prefactor product, in
+    ``throughput``'s operation order: each throughput row equals
+    ``throughput(sensing with p_x, ...) / n`` bit for bit, and a row whose
+    sum overflows raises ValueError as ``throughput`` does.  The series is
+    stored as columns, so no per-point record is built.
     """
     _check_state(state)
     _check_device(device)
@@ -586,33 +589,31 @@ def run_sweep(
 
     sensing = scenario.sensing
     primary = scenario.primary if state == INTERFERENCE else None
-    rates = _pair_rates(scenario.env, pairs, hrc_powers, mrc_powers, device, primary)
+    total = 0.0
+    for rate in _pair_rates(scenario.env, pairs, hrc_powers, mrc_powers, device, primary):
+        total += rate
     duty = duty_factor(sensing)
     miss = _detection_term(sensing, state)
     bandwidth = scenario.env.bandwidth_hz
+    grid = scenario.sweep_grid
 
-    # energy_efficiency's check that throughput is >= 0 holds by
-    # construction: duty lies in (0, 1], p_x (checked by Scenario) and miss
-    # in [0, 1], bandwidth is > 0, and each rate is log2(1 + S / D) with
-    # S >= 0 and D > 0, so no product, sum or mean below is negative.
-    throughputs = []
-    for p_x in scenario.sweep_grid:
-        # ((duty * p_x) * miss) * b * rate, summed in pair order: the
-        # operation order of ``throughput`` on one pair, so every value
-        # is bit-identical to evaluating it per pair and point.
-        pb = duty * p_x * miss * bandwidth
-        total = 0.0
-        for r in rates:
-            total += pb * r
-        throughputs.append(total / n)
-    # Overflow checks, once per series.  Every pb is at most the bandwidth
-    # and every rate at most 1024 (log2 of a finite float), so every mean
-    # is below 2048 * bandwidth; only when that bound over ``consumed``
-    # overflows are the means scanned.  The largest mean gives the largest EE.
-    if bandwidth * 2048.0 / consumed == math.inf:
+    # ((((duty * p_x) * miss) * b) * rate sum) / n: the operation order of
+    # ``throughput``, whose prefactor is _kappa_b with p_x in place of the
+    # state's probability.  energy_efficiency's check that throughput is
+    # >= 0 holds by construction: duty lies in (0, 1], p_x (checked by
+    # Scenario) and miss in [0, 1], bandwidth is > 0, and each rate is
+    # log2(1 + S / D) with S >= 0 and D > 0.
+    throughputs = [duty * p_x * miss * bandwidth * total / n for p_x in grid]
+    # Overflow checks, once per series.  Every prefactor is at most the
+    # bandwidth, so every row is at most b * total / n and every EE at most
+    # that over ``consumed``; only when that bound overflows are the rows
+    # scanned.  A row is inf only where prefactor * total is, which is where
+    # ``throughput`` raises; the largest row gives the largest EE.
+    if bandwidth * total / n / consumed == math.inf:
+        for p_x, mean in zip(grid, throughputs):
+            if mean == math.inf:
+                raise _throughput_overflow(device, duty * p_x * miss * bandwidth, total)
         peak = max(throughputs)
-        if peak == math.inf:
-            raise ValueError(f"{device} mean throughput of the {n} pairs overflows to inf")
         if peak / consumed == math.inf:
             raise ValueError(
                 f"{device} energy efficiency overflows to inf: {peak!r} bps over {consumed!r} W"
@@ -623,7 +624,7 @@ def run_sweep(
         device=device,
         optimized=optimized,
         coupling=coupling,
-        p_x=scenario.sweep_grid,
+        p_x=grid,
         throughput_bps=tuple(throughputs),
         ee_bps_per_watt=tuple([mean / consumed for mean in throughputs]),
         tx_power_w=mean_tx,

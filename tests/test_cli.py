@@ -186,8 +186,8 @@ def test_sweep_to_stdout(capsys):
 # alters any output byte must say so and update both file and digest.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SWEEP_SHA256 = {
-    ("effectual", "hrc", "nominal"): "924df1a753b122ecbf92769caa8bbe8c4b9edfb0219d2ab86314f657d7996b0f",
-    ("effectual", "hrc", "cascaded"): "0a9538bbc920faa86777bf78e50cb70b010f273cbe87f023e463758fac0a788f",
+    ("effectual", "hrc", "nominal"): "107c9b454972743375904465d785e40290315c77d0c14b5737b41716399b815a",
+    ("effectual", "hrc", "cascaded"): "14dbdf1700a55112764ea9bc2bee9f763b53238468b7e950491ea7df9f9ae381",
     ("effectual", "mrc", "nominal"): "ca8b2f48f4f000f4cd2f6b041abb5a3d971efd19e6fca5f7971f40a1cde96852",
     ("effectual", "mrc", "cascaded"): "af8780e992327400b26cd9db5e63f209d89706c720b3abb1d415c14785f2a93d",
     ("interference", "hrc", "nominal"): "605a92e5ec0503ca0624fcc8e55cb56f5f8260a1890719c9744c86ecd9979a0d",
@@ -592,14 +592,60 @@ def test_overflowing_throughput_is_named_domain_error(tmp_path, capsys):
         assert old in text
         text = text.replace(old, new)
     scenario = crnoma.scenario.load_scenario(text)
-    message = "hrc mean throughput of the 5 pairs overflows to inf"
-    for optimized in (False, True):
-        with pytest.raises(ValueError) as err:
-            crnoma.scenario.run_sweep(scenario, "effectual", "hrc", optimized)
-        assert str(err.value) == message
     with pytest.raises(ValueError) as err:
         throughput(scenario.sensing, scenario.env, scenario.pairs, "hrc")
     assert str(err.value).startswith("hrc throughput overflows to inf: prefactor 2.25e+305 Hz")
+    message = _first_overflow_message(scenario)
+    with pytest.raises(ValueError) as err:
+        crnoma.scenario.run_sweep(scenario, "effectual", "hrc", False)
+    assert str(err.value) == message
+    # The optimized powers give another rate sum, so another first row.
+    with pytest.raises(ValueError, match="^hrc throughput overflows to inf: prefactor "):
+        crnoma.scenario.run_sweep(scenario, "effectual", "hrc", True)
+    assert _probe_exit(tmp_path, text) == 3
+    assert capsys.readouterr().err == f"domain error: {message}\n"
+
+
+def _first_overflow_message(scenario):
+    """The message of ``throughput`` at the first grid point where the
+    nominal HRC throughput overflows, which ``run_sweep`` must repeat."""
+    for p_x in scenario.sweep_grid:
+        sensing = scenario.sensing._replace(p_inactive=p_x)
+        try:
+            throughput(sensing, scenario.env, scenario.pairs, "hrc")
+        except ValueError as exc:
+            return str(exc)
+    raise AssertionError("no grid point overflows")
+
+
+@pytest.mark.parametrize("n", [45, 100])
+def test_overflowing_sweep_row_raises_as_throughput_does(tmp_path, capsys, n):
+    # 1e300 HRC gains under a 1e304 Hz bandwidth: every S/D is finite, each
+    # rate is about 989 bits, and prefactor * rate sum overflows at the
+    # larger p_x.  With 45 pairs the throughput at p_inactive = 0.5 is still
+    # finite; with 100 it overflows too.
+    text = crnoma.scenario.default_scenario_text()
+    hrc_gains = ", ".join(["1.0e+300"] * n)
+    mrc_gains = ", ".join(["1.0e+100"] * n)
+    for old, new in (
+        ("bandwidth_hz: 1.0e+6", "bandwidth_hz: 1.0e+304"),
+        ("noise_psd_dbm_hz: -174.0", "noise_psd_dbm_hz: -2990.0"),
+        ("hrc_distances_m: [1200.0, 1400.0, 1600.0, 1800.0, 2000.0]", f"hrc_gains: [{hrc_gains}]"),
+        ("mrc_distances_m: [1300.0, 1500.0, 1700.0, 1900.0, 2000.0]", f"mrc_gains: [{mrc_gains}]"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    scenario = crnoma.scenario.load_scenario(text)
+    assert len(scenario.pairs) == n
+    if n == 45:
+        assert math.isfinite(throughput(scenario.sensing, scenario.env, scenario.pairs, "hrc"))
+    else:
+        with pytest.raises(ValueError, match="^hrc throughput overflows to inf"):
+            throughput(scenario.sensing, scenario.env, scenario.pairs, "hrc")
+    message = _first_overflow_message(scenario)
+    with pytest.raises(ValueError) as err:
+        crnoma.scenario.run_sweep(scenario, "effectual", "hrc", False)
+    assert str(err.value) == message
     assert _probe_exit(tmp_path, text) == 3
     assert capsys.readouterr().err == f"domain error: {message}\n"
 

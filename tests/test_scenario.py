@@ -382,6 +382,12 @@ SERIES = [
     for device in ("hrc", "mrc")
     for optimized in (False, True)
 ] + [(EFFECTUAL, "mrc", True, "cascaded"), (INTERFERENCE, "mrc", True, "cascaded")]
+# Every (state, device, optimized, coupling) combination run_sweep accepts.
+ALL_SERIES = SERIES + [
+    (state, device, optimized, "cascaded")
+    for state in (EFFECTUAL, INTERFERENCE)
+    for device, optimized in (("hrc", False), ("hrc", True), ("mrc", False))
+]
 
 
 def _reference_pairs(scn, state, device, optimized, coupling):
@@ -405,8 +411,9 @@ def _reference_pairs(scn, state, device, optimized, coupling):
 
 def _reference_points(scn, state, device, pairs):
     """Per-point values the straightforward way: one public ``throughput``
-    call per pair and grid point over a SensingProfile rebuilt with p_x,
-    totalled by plain running sums (sum() rounds differently from 3.12 on)."""
+    call over all pairs per grid point, on a SensingProfile rebuilt with
+    p_x, divided by n.  The mean transmit power is a plain running sum
+    (sum() rounds differently from 3.12 on)."""
     n = len(pairs)
     tx_total = 0.0
     for p in pairs:
@@ -417,18 +424,17 @@ def _reference_points(scn, state, device, pairs):
             sensing, primary = scn.sensing._replace(p_inactive=p_x), None
         else:
             sensing, primary = scn.sensing._replace(p_active=p_x), scn.primary
-        total = 0.0
-        for pair in pairs:
-            total += throughput(sensing, scn.env, [pair], device, primary)
-        mean = total / n
+        mean = throughput(sensing, scn.env, pairs, device, primary) / n
         yield mean, energy_efficiency(mean, mean_tx, scn.overheads)
 
 
-@pytest.mark.parametrize("state, device, optimized, coupling", SERIES)
+@pytest.mark.parametrize("state, device, optimized, coupling", ALL_SERIES)
 @pytest.mark.parametrize("scenario_kind", ["default", "dbm_gains"])
 def test_sweep_is_bit_identical_to_per_pair_path(
     default_scenario, scenario_kind, state, device, optimized, coupling
 ):
+    """Every row is ``throughput()`` over the series' pairs at that p_x,
+    divided by n, and its EE is ``energy_efficiency`` of that, bit for bit."""
     scn = default_scenario if scenario_kind == "default" else load_scenario(DBM_GAINS)
     series = run_sweep(scn, state, device, optimized, coupling)
     pairs = _reference_pairs(scn, state, device, optimized, coupling)
@@ -990,7 +996,13 @@ def test_overflowing_series_efficiency_raises():
     assert re.fullmatch(
         r"hrc energy efficiency overflows to inf: 4\.\d+e\+300 bps over 1e-200 W", str(err.value)
     )
-    # Past the cheap bound but finite: the means are scanned and the series stands.
-    wide = make_scenario()._replace(env=make_scenario().env._replace(bandwidth_hz=1e306))
+    # Past the cheap bound b * rate sum / n / consumed but finite: the rows
+    # are scanned and the series stands.  The one rate is about 249 bits and
+    # 0.8 W is consumed; the largest prefactor is 0.45 b.
+    narrow = make_scenario(hrc_gains=(1e78,), mrc_gains=(1e-14,), circuit_w=0.1, sensing_w=0.0)
+    wide = narrow._replace(env=narrow.env._replace(bandwidth_hz=1e306, noise_psd_dbm_hz=-3000.0))
+    rate = math.log2(1.0 + 0.7 * 1e78 / wide.env.noise_w())
+    assert wide.env.bandwidth_hz * rate / 0.8 == math.inf
     series = run_sweep(wide, EFFECTUAL, "hrc", False)
     assert all(math.isfinite(v) for v in series.throughput_bps + series.ee_bps_per_watt)
+    assert max(series.ee_bps_per_watt) > 1e308
