@@ -53,7 +53,7 @@ __all__ = [
 COUPLINGS = ("nominal", "cascaded")
 
 _ORACLE_REL_WIDTH = 1e-9
-_ORACLE_P_START_W = 1e6
+_ORACLE_P_START_W = 1.0
 _ORACLE_P_CAP_W = 1e12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_E = math.exp(-1.0)
@@ -180,33 +180,41 @@ def numerical_argmax(problem: OptProblem) -> float:
     """Golden-section argmax of the single-device EE curve.
 
     EE is unimodal in the transmit power (log over affine), so golden
-    section applies.  The upper bracket starts at 1e6 W and doubles until
-    EE is decreasing there, capped at 1e12 W.  Every probe, the bracket's
-    included, is evaluated inline (a call per probe costs more than the
-    arithmetic), in ``ee_of_power``'s operation order but without its
-    ``power_w >= 0`` check, which no probe in [0, hi] can fail, and without
-    its finiteness check: EE(hi) is finite once the bracket is found, so
-    p * gain / denom is finite at every probe and EE stays below
-    gain / (denom * ln 2).  Probes and result are therefore bit-identical to
-    a search over ``ee_of_power``;
+    section applies.  The upper bracket starts at the SNR = 1 power
+    D / g2, kept within [1 W, 1e12 W], and doubles until EE is decreasing
+    there, capped at 1e12 W; each doubling evaluates EE once, at the new hi,
+    and reuses EE at the old hi as EE(hi / 2).  A closed-form optimum has
+    p* g2 / D >= e - 1, so D / g2 lies below it.  Near p g2 / D = 1e-16,
+    log2(1 + p g2 / D) moves in ulp steps and EE(hi) < EE(hi / 2) proves
+    nothing; at the first bracket's ends p g2 / D >= min(0.5, 5e11 g2 / D),
+    so that can happen only when D / g2 is far above 1e12 W.  Every
+    probe, the bracket's included, is evaluated inline (a call per probe
+    costs more than the arithmetic), in ``ee_of_power``'s operation order
+    but without its ``power_w >= 0`` check, which no probe in [0, hi] can
+    fail, and without its finiteness check: EE(hi) is finite once the
+    bracket is found, so p * gain / denom is finite at every probe and EE
+    stays below gain / (denom * ln 2).  Probes and result are therefore
+    bit-identical to a search over ``ee_of_power``;
     ``test_numerical_argmax_is_bit_identical_to_reference_search`` pins this.
     """
     gain, denom, overheads = problem
     overhead = overheads.total_w
     log2 = math.log2
 
-    hi = _ORACLE_P_START_W
+    hi = min(max(_ORACLE_P_START_W, denom / gain), _ORACLE_P_CAP_W)
     half = hi * 0.5
-    while log2(1.0 + hi * gain / denom) / (hi + overhead) >= (
-        log2(1.0 + half * gain / denom) / (half + overhead)
-    ):
+    f_half = log2(1.0 + half * gain / denom) / (half + overhead)
+    f_hi = log2(1.0 + hi * gain / denom) / (hi + overhead)
+    # Doubling is exact below the cap, so the old hi is the new hi / 2.
+    while f_hi >= f_half:
         hi *= 2.0
         if hi > _ORACLE_P_CAP_W:
             raise ValueError(
                 "could not bracket a decreasing EE tail below "
                 f"{_ORACLE_P_CAP_W:.0e} W; problem appears unbounded"
             )
-        half = hi * 0.5
+        f_half = f_hi
+        f_hi = log2(1.0 + hi * gain / denom) / (hi + overhead)
 
     invphi = _INVPHI
     rel_width = _ORACLE_REL_WIDTH

@@ -70,9 +70,14 @@ def make_scenario(
 
 
 def reference_argmax(problem):
-    """Golden-section search over ee_of_power from a 1e6 W bracket, written out step by step."""
+    """Golden-section search over ee_of_power, written out step by step.
+
+    The first bracket is D / g2 kept within [1 W, 1e12 W].  Each doubling
+    evaluates both EE(hi) and EE(hi / 2), so bit-equality with
+    ``numerical_argmax`` also shows that its reuse of EE(hi) is exact.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    hi = 1e6
+    hi = min(max(1.0, problem.denom_power_w / problem.gain), 1e12)
     while ee_of_power(hi, problem) >= ee_of_power(hi * 0.5, problem):
         hi *= 2.0
         if hi > 1e12:

@@ -195,7 +195,7 @@ GOLDEN_SWEEP_SHA256 = {
     ("interference", "mrc", "nominal"): "eab10a08a2380ce0d91b7276d8111a7be5e3ac83076bcf41cc6676a8efd64239",
     ("interference", "mrc", "cascaded"): "0038e4c63dc33e9b1243f7395629199e335a869dbd68eb6c07df764a26f46d51",
 }
-GOLDEN_VALIDATE_SHA256 = "a5069a07c8439b624c60e7730742f9fbb6e63d2ea5a6669637d2a3841983e28f"
+GOLDEN_VALIDATE_SHA256 = "1f284f6fc3cc0732bcc0b87e0727b6b5de2da0028b7acaee44230944beefafa1"
 # (text stdout, --out CSV file) of `crnoma optimize` per (state, coupling).
 GOLDEN_OPTIMIZE_SHA256 = {
     ("effectual", "nominal"): (

@@ -72,6 +72,26 @@ def test_duty_factor():
     assert duty_factor(SensingProfile(1.0, 3.0)) == 0.25
 
 
+def test_sensing_profile_defaults():
+    s = SensingProfile(1.0, 1.0)
+    assert (s.p_inactive, s.p_active, s.p_false_alarm, s.p_detection) == (0.5, 0.5, 0.1, 0.9)
+
+
+@pytest.mark.parametrize(
+    "p_detection, p_false_alarm, meets",
+    [
+        (0.9, 0.1, True),
+        (1.0, 0.0, True),
+        (0.8999, 0.1, False),
+        (0.9, 0.1001, False),
+    ],
+)
+def test_regulatory_sensing_edges(p_detection, p_false_alarm, meets):
+    """IEEE 802.22-style envelope: p_d >= 0.9 and p_f <= 0.1, both edges included."""
+    s = sensing(p_false_alarm=p_false_alarm, p_detection=p_detection)
+    assert s.meets_regulatory_sensing() is meets
+
+
 def test_hrc_effectual_unit_snr():
     # P_H * g_h equals the noise floor, so log2(1 + 1) = 1, halved by duty.
     assert throughput(sensing(), UNIT_ENV, [pair()], HRC) == 0.5

@@ -3,10 +3,13 @@
 import math
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import crnoma.optimizer
+import crnoma.validation
 from crnoma import (
     EFFECTUAL,
     INTERFERENCE,
@@ -19,6 +22,7 @@ from crnoma import (
     numerical_argmax,
     optimal_power,
     optimize_scenario,
+    run_validation,
     throughput,
 )
 from conftest import make_scenario, reference_argmax
@@ -100,7 +104,7 @@ def test_oracle_matches_exact_construction():
 
 def test_oracle_grows_its_bracket():
     # EXACT_PROBLEM with D / g2 and C scaled by 1e7: the same Lambert
-    # argument, so the optimum is 1e7 * (e^2 - 1) W, above the 1e6 W start.
+    # argument, so the optimum is 1e7 * (e^2 - 1) W, above the D / g2 = 1e7 W start.
     far = OptProblem(
         gain=1e-7,
         denom_power_w=1.0,
@@ -122,6 +126,60 @@ def test_oracle_bracket_is_capped():
         match=r"^could not bracket a decreasing EE tail below 1e\+12 W; problem appears unbounded$",
     ):
         numerical_argmax(problem)
+
+
+def test_oracle_agrees_with_closed_form_across_scales():
+    """Optima spread log-uniformly from 1e-9 to 1e11 W: below 0.5 W the 1 W
+    first bracket already decreases, and far above 1 W the bracket starts at
+    D / g2 and doubles."""
+    rng = random.Random(31)
+    below = above = 0
+    for _ in range(2000):
+        problem = random_problem(rng)
+        result = optimal_power(problem)
+        if not result.feasible:
+            continue
+        # Scaling D and C by s scales the argmax by s and keeps the curve's shape.
+        s = 10.0 ** rng.uniform(-9.0, 11.0) / result.power_w
+        scaled = OptProblem(
+            gain=problem.gain,
+            denom_power_w=problem.denom_power_w * s,
+            overheads=PowerOverheads(circuit_w=problem.overheads.circuit_w * s, sensing_w=0.0),
+        )
+        power = optimal_power(scaled).power_w
+        # Relative only: approx's default 1e-12 absolute slack is loose at 1e-9 W.
+        assert abs(numerical_argmax(scaled) - power) <= 1e-6 * power
+        below += power < 0.5
+        above += power > 1e6
+    assert below > 100 and above > 100
+
+
+def test_oracle_evaluation_count(default_scenario, monkeypatch):
+    """The validation draws' optima lie near 0.05-350 W; a bracket started
+    at max(1 W, D / g2) spends at most 55 EE evaluations (log2 calls) per
+    search on average, where a 1e6 W start spends about 72."""
+    evals = 0
+
+    def counted_log2(x):
+        nonlocal evals
+        evals += 1
+        return math.log2(x)
+
+    fields = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+    fields["log2"] = counted_log2
+    monkeypatch.setattr(crnoma.optimizer, "math", SimpleNamespace(**fields))
+    per_call = []
+
+    def counted_argmax(problem):
+        before = evals
+        argmax = numerical_argmax(problem)
+        per_call.append(evals - before)
+        return argmax
+
+    monkeypatch.setattr(crnoma.validation, "numerical_argmax", counted_argmax)
+    run_validation(default_scenario, seed=0, trials=1000)
+    assert len(per_call) == 1000
+    assert sum(per_call) / len(per_call) <= 55.0
 
 
 def _subnormal_gain_problems():
@@ -450,7 +508,13 @@ def test_optimize_scenario_is_bit_identical_to_per_pair_path(
 @pytest.mark.parametrize("above_start", [False, True])
 def test_numerical_argmax_is_bit_identical_to_reference_search(above_start):
     """Bit-equal to the written-out search; with above_start every optimum
-    lies above the 1e6 W first bracket, so the doubling loop runs."""
+    lies above 1e6 W, far above the 1 W floor of the first bracket.
+
+    Some of those draws are infeasible with C*g2 / D near 1e-10, so D / g2
+    exceeds 1e12 W and the first bracket is the cap; a 1 W first bracket
+    (p * g2 / D near 3e-16) would sit on the ulp staircase of log2(1 + x)
+    and stop at once.
+    """
     rng = random.Random(2024)
     for _ in range(1000):
         problem = random_problem(rng)

@@ -222,6 +222,26 @@ def test_out_of_range_distance_recorded_as_note():
     assert any("outside" in note for note in scn.notes)
 
 
+@pytest.mark.parametrize(
+    "p_detection, p_false_alarm, outside",
+    [
+        ("0.9", "0.1", False),
+        ("1.0", "0.0", False),
+        ("0.8999", "0.1", True),
+        ("0.9", "0.1001", True),
+    ],
+)
+def test_regulatory_note_only_outside_envelope(p_detection, p_false_alarm, outside):
+    text = MINIMAL.replace("p_false_alarm: 0.1", f"p_false_alarm: {p_false_alarm}").replace(
+        "p_detection: 0.9", f"p_detection: {p_detection}"
+    )
+    note = (
+        "sensing: p_detection/p_false_alarm outside the regulatory "
+        "envelope (p_d >= 0.9, p_f <= 0.1)"
+    )
+    assert (note in load_scenario(text).notes) is outside
+
+
 def test_sic_violation_recorded_as_note():
     text = MINIMAL.replace("mrc_gains: [8.0e-14]", "mrc_gains: [9.0e-13]")
     scn = load_scenario(text)
