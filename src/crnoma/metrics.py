@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .units import noise_power_w
 
@@ -272,7 +272,7 @@ def _kappa_b(sensing: SensingProfile, env: RadioEnvironment, state: str) -> floa
     """Rate prefactor duty * p_x(state) * (1 - p_false_alarm | 1 - p_detection) * b.
 
     Rounded left to right.  ``run_sweep`` forms the same product with each
-    grid p_x and multiplies it by the same rate sum, so each of its rows is
+    grid p_x and multiplies it by the same ``_rate_sum``, so each of its rows is
     ``throughput(...) / n`` bit for bit.
     """
     p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
@@ -289,44 +289,44 @@ def _base_denominator_w(env: RadioEnvironment, primary: Optional[PrimaryLink] = 
     return base
 
 
-def _mrc_denominators_w(
-    base: float, pairs: Sequence[DevicePair], hrc_powers: Sequence[float]
-) -> List[float]:
-    """Per pair, the MRC SINR denominator (its one definition): ``base`` plus
-    the paired HRC's received power at ``hrc_powers``; checked > 0."""
+def _gains_and_denominators(
+    device: str, base: float, pairs: Sequence[DevicePair], hrc_powers: Sequence[float] = ()
+) -> Tuple[List[float], List[float]]:
+    """Per pair, the device's own gain and SINR denominator D (their one
+    definition).  D is ``base`` for an HRC device; an MRC device's D adds
+    the paired HRC's received power at ``hrc_powers``, checked finite."""
+    if device == HRC:
+        return [p.hrc_gain for p in pairs], [base] * len(pairs)
     denoms = [base + hp * p.hrc_gain for p, hp in zip(pairs, hrc_powers)]
     # Every D is at least base > 0, so only the largest can fail, by overflowing.
     _check_positive("denom_power_w", max(denoms, default=base))
-    return denoms
+    return [p.mrc_gain for p in pairs], denoms
 
 
-def _pair_rates(
-    env: RadioEnvironment,
+def _rate_sum(
+    device: str,
+    base: float,
     pairs: Sequence[DevicePair],
     hrc_powers: Sequence[float],
-    mrc_powers: Sequence[float],
-    device: str,
-    primary: Optional[PrimaryLink] = None,
-) -> List[float]:
-    """Per-pair spectral efficiency log2(1 + S / D) of one device class.
+    powers: Sequence[float],
+) -> float:
+    """Sum over pairs of log2(1 + S / D) for one device class, S = power * gain.
 
-    Powers come from the columns ``hrc_powers`` and ``mrc_powers``, gains
-    from ``pairs``, all in pair order.  D is the base denominator
-    (``_base_denominator_w``) for an HRC device and ``_mrc_denominators_w``
-    for an MRC device.  An S / D that overflows to inf raises ValueError
-    naming the device and pair index.
+    ``powers`` is the device's own power column, ``hrc_powers`` the HRC
+    column its D reads (``_gains_and_denominators``), both in pair order.
+    An S / D that overflows to inf raises ValueError naming the device and
+    pair index.  A plain running sum: sum() rounds differently from Python
+    3.12 on, and these totals must not depend on the interpreter.
     """
-    base = _base_denominator_w(env, primary)
-    if device == HRC:
-        ratios = [hp * p.hrc_gain / base for p, hp in zip(pairs, hrc_powers)]
-    else:
-        denoms = _mrc_denominators_w(base, pairs, hrc_powers)
-        ratios = [mp * p.mrc_gain / d for p, mp, d in zip(pairs, mrc_powers, denoms)]
-    for index, ratio in enumerate(ratios):
+    gains, denoms = _gains_and_denominators(device, base, pairs, hrc_powers)
+    total = 0.0
+    for index, (power, gain, denom) in enumerate(zip(powers, gains, denoms)):
+        ratio = power * gain / denom
         # D is finite and > 0, so S / D is finite or inf, never NaN.
         if not ratio < math.inf:
             raise ValueError(f"{device} pair {index}: S/D = {ratio!r} is not finite")
-    return [math.log2(1.0 + ratio) for ratio in ratios]
+        total += math.log2(1.0 + ratio)
+    return total
 
 
 def throughput(
@@ -347,12 +347,9 @@ def throughput(
     """
     _check_device(device)
     kappa_b = _kappa_b(sensing, env, EFFECTUAL if primary is None else INTERFERENCE)
-    # A plain running sum: sum() rounds differently from Python 3.12 on.
-    total = 0.0
     hrc_powers = [p.hrc_power_w for p in pairs]
-    mrc_powers = [p.mrc_power_w for p in pairs]
-    for rate in _pair_rates(env, pairs, hrc_powers, mrc_powers, device, primary):
-        total += rate
+    powers = hrc_powers if device == HRC else [p.mrc_power_w for p in pairs]
+    total = _rate_sum(device, _base_denominator_w(env, primary), pairs, hrc_powers, powers)
     # Each rate is finite, so only the prefactor's product can overflow.
     summed = kappa_b * total
     if summed == math.inf:

@@ -12,10 +12,11 @@ C = circuit + sensing overhead.  The state's prefactor kappa * b
     p* = (C * g2 - D) / (W0(((C * g2 - D) / D) * e^-1) * g2) - D / g2
 
 where W0 is the principal Lambert W branch.  All four device/state cases
-share this shape and differ only in D.  ``optimal_power``, ``ee_of_power``
-and the golden-section check ``numerical_argmax`` work on the normalized
-curve kappa * b = 1; ``optimize_scenario`` reports each pair's EE scaled
-by the prefactor.
+share this shape and differ only in D; ``metrics._gains_and_denominators``
+defines each pair's g2 and D for a device class.  ``optimal_power``,
+``ee_of_power`` and the golden-section check ``numerical_argmax`` work on
+the normalized curve kappa * b = 1; ``optimize_scenario`` reports each
+pair's EE scaled by the prefactor.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .lambertw import lambert_w0
 from .metrics import (
+    HRC,
     INTERFERENCE,
+    MRC,
     DevicePair,
     PowerOverheads,
     _base_denominator_w,
@@ -36,8 +39,8 @@ from .metrics import (
     _checked,
     _ee_overflow,
     _FLOAT_MIN,
+    _gains_and_denominators,
     _kappa_b,
-    _mrc_denominators_w,
 )
 
 __all__ = [
@@ -291,12 +294,14 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     kappa_b = _kappa_b(scenario.sensing, scenario.env, state)
     pairs = scenario.pairs
 
+    def solve(gains, denoms):
+        return tuple(
+            [_closed_form(g, d, overhead, kappa_b, lambert_w0) for g, d in zip(gains, denoms)]
+        )
+
     hrc = memo.get(state)
     if hrc is None:
-        hrc = tuple([_closed_form(p.hrc_gain, base, overhead, kappa_b, lambert_w0) for p in pairs])
-        hrc = memo.setdefault(state, hrc)
-    denoms = _mrc_denominators_w(base, pairs, _coupled_hrc_powers(pairs, hrc, coupling))
-    mrc = tuple(
-        [_closed_form(p.mrc_gain, d, overhead, kappa_b, lambert_w0) for p, d in zip(pairs, denoms)]
-    )
+        hrc = memo.setdefault(state, solve(*_gains_and_denominators(HRC, base, pairs)))
+    coupled = _coupled_hrc_powers(pairs, hrc, coupling)
+    mrc = solve(*_gains_and_denominators(MRC, base, pairs, coupled))
     return memo.setdefault((state, coupling), ScenarioOptima(hrc=hrc, mrc=mrc))

@@ -28,6 +28,7 @@ from .metrics import (
     PrimaryLink,
     RadioEnvironment,
     SensingProfile,
+    _base_denominator_w,
     _check_device,
     _check_positive,
     _check_probability,
@@ -35,7 +36,7 @@ from .metrics import (
     _checked,
     _consumed_power_w,
     _detection_term,
-    _pair_rates,
+    _rate_sum,
     _sic_ordering_holds,
     _throughput_overflow,
     duty_factor,
@@ -81,6 +82,12 @@ _KEYS = {
 # libyaml's loader when PyYAML was built with it: the same SafeConstructor
 # and Resolver as SafeLoader, so the same document, parsed about 10x faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# Deepest collection nesting a document may have; a valid scenario has 3.
+# Both loaders compose a document recursively: libyaml's crashes the
+# process some 50,000 levels down, SafeLoader raises RecursionError at
+# about 1,000.
+_MAX_NESTING = 100
 
 T = TypeVar("T")
 
@@ -329,11 +336,33 @@ def _build_grid(start: float, stop: float, step: float) -> Tuple[float, ...]:
     return tuple(round(start + i * step, _GRID_DECIMALS) for i in range(count))
 
 
+def _nests_deeper_than(text: str, limit: int) -> bool:
+    """Whether the document's collections nest more than ``limit`` deep.
+
+    Every collection opens at one of the characters ``[{-?:``, so their
+    count bounds the depth; only a larger count pays for an exact count
+    over the parser's events, which neither loader produces recursively.
+    """
+    if sum(map(text.count, "[{-?:")) <= limit:
+        return False
+    depth = 0
+    for event in yaml.parse(text, Loader=_YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > limit:
+                return True
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return False
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a YAML scenario document."""
     # PyYAML's constructors raise a plain ValueError for some scalars, such as
     # an integer literal over Python's int-to-str digit limit.
     try:
+        if _nests_deeper_than(text, _MAX_NESTING):
+            raise yaml.YAMLError(f"collections nest more than {_MAX_NESTING} levels deep")
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError("<document>", f"YAML parse failure: {exc}") from None
@@ -368,13 +397,14 @@ def load_scenario(text: str) -> Scenario:
         )
 
     sens_t = _section(doc, "sensing")
+    sensing_defaults = SensingProfile._field_defaults
     sensing = _named(
         "sensing",
         SensingProfile,
         t_transmit_s=_number(sens_t, "sensing", "transmit_time_s"),
         t_sense_s=_number(sens_t, "sensing", "sense_time_s"),
-        p_inactive=_number(sens_t, "sensing", "p_inactive", 0.5),
-        p_active=_number(sens_t, "sensing", "p_active", 0.5),
+        p_inactive=_number(sens_t, "sensing", "p_inactive", sensing_defaults["p_inactive"]),
+        p_active=_number(sens_t, "sensing", "p_active", sensing_defaults["p_active"]),
         p_false_alarm=_number(sens_t, "sensing", "p_false_alarm"),
         p_detection=_number(sens_t, "sensing", "p_detection"),
     )
@@ -535,7 +565,7 @@ def run_sweep(
     series evaluates are held as HRC and MRC columns; no pair is copied.
 
     Throughput is linear in p_x, so the pairs' Shannon rates are summed once
-    per series and every grid point costs one prefactor product, in
+    per series (``_rate_sum``) and every grid point costs one prefactor product, in
     ``throughput``'s operation order: each throughput row equals
     ``throughput(sensing with p_x, ...) / n`` bit for bit, and a row whose
     sum overflows raises ValueError as ``throughput`` does.  The series is
@@ -548,37 +578,34 @@ def run_sweep(
     pairs = scenario.pairs
     hrc_powers = [p.hrc_power_w for p in pairs]
     mrc_powers = [p.mrc_power_w for p in pairs]
+    powers = hrc_powers if device == HRC else mrc_powers
     infeasible = []
     sic_violations = 0
     if optimized:
         optima = optimize_scenario(scenario, state, coupling)
-        if device == HRC:
-            results, powers = optima.hrc, hrc_powers
-        else:
-            results, powers = optima.mrc, mrc_powers
-            coupled = _coupled_hrc_powers(pairs, optima.hrc, coupling)
+        coupled = _coupled_hrc_powers(pairs, optima.hrc, coupling)
         # No DevicePair is built for the optimized powers, and none needs
         # its checks: _closed_form marks a result feasible only if its power
         # is finite and > 0, and every other power is a validated nominal one.
-        # Optimized powers routinely break the nominal SIC ordering; the
-        # series records how often.
-        for index, (pair, result) in enumerate(zip(pairs, results)):
+        # A feasible pair takes the coupled HRC power, then the device's own
+        # optimum (``ScenarioOptima`` names its fields by device), which in an
+        # HRC series replaces the coupled one.  Optimized powers routinely
+        # break the nominal SIC ordering; the series records how often.
+        for index, (pair, result) in enumerate(zip(pairs, getattr(optima, device))):
             if not result.feasible:
                 infeasible.append(index)
                 continue
+            hrc_powers[index] = coupled[index]
             powers[index] = result.power_w
-            if device != HRC:
-                hrc_powers[index] = coupled[index]
             if not _sic_ordering_holds(
                 hrc_powers[index], pair.hrc_gain, mrc_powers[index], pair.mrc_gain
             ):
                 sic_violations += 1
 
-    # Plain running sums throughout: sum() rounds differently from Python
-    # 3.12 on, and these totals must not depend on the interpreter.
+    # A plain running sum, as in ``_rate_sum``.
     n = len(pairs)
     tx_total = 0.0
-    for power in hrc_powers if device == HRC else mrc_powers:
+    for power in powers:
         tx_total += power
     # Each power is finite, so only their sum can reach inf.
     if tx_total == math.inf:
@@ -588,10 +615,8 @@ def run_sweep(
     consumed = _consumed_power_w(mean_tx, scenario.overheads)
 
     sensing = scenario.sensing
-    primary = scenario.primary if state == INTERFERENCE else None
-    total = 0.0
-    for rate in _pair_rates(scenario.env, pairs, hrc_powers, mrc_powers, device, primary):
-        total += rate
+    base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
+    total = _rate_sum(device, base, pairs, hrc_powers, powers)
     duty = duty_factor(sensing)
     miss = _detection_term(sensing, state)
     bandwidth = scenario.env.bandwidth_hz

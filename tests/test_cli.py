@@ -7,6 +7,8 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from itertools import islice
 from pathlib import Path
@@ -462,6 +464,47 @@ def test_leftover_temp_files_are_not_kept(tmp_path):
     main(["sweep", "--state", "effectual", "--device", "hrc", "--out", str(out)])
     leftovers = [name for name in os.listdir(tmp_path) if name.startswith(".crnoma-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_out_file_mode_follows_the_umask(tmp_path, umask, command):
+    # Files come out as open() would create them, not owner-only.
+    out = tmp_path / f"{command}.csv"
+    args = ["--device", "hrc"] if command == "sweep" else []
+    previous = os.umask(umask)
+    try:
+        assert main([command, "--state", "effectual", *args, "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# 50,000 levels crashed libyaml's recursive composer, so each case runs in
+# its own process, where a crash shows as a signal exit instead of killing pytest.
+DEEP_DOCUMENTS = {
+    "flow": ("carrier_ghz: 5.0", "carrier_ghz: " + "[" * 50_000 + "5.0" + "]" * 50_000),
+    "block": ("carrier_ghz: 5.0", "carrier_ghz:\n    " + "- " * 50_000 + "5.0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_DOCUMENTS))
+def test_deeply_nested_document_exits_2_in_a_fresh_process(tmp_path, kind):
+    old, new = DEEP_DOCUMENTS[kind]
+    text = crnoma.scenario.default_scenario_text()
+    assert text.count(old) == 1
+    scenario = write(tmp_path, "deep.yaml", text.replace(old, new))
+    src = str(Path(crnoma.scenario.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    completed = subprocess.run(
+        [sys.executable, "-m", "crnoma.cli", "sweep", scenario, "--state", "effectual",
+         "--device", "hrc"],
+        env=env,
+        capture_output=True,
+    )
+    assert completed.returncode == 2, completed.stderr[-400:]
+    assert completed.stderr.startswith(b"configuration error: <document>: ")
+    assert len(completed.stderr) < 400
 
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])

@@ -1026,3 +1026,66 @@ def test_overflowing_series_efficiency_raises():
     series = run_sweep(wide, EFFECTUAL, "hrc", False)
     assert all(math.isfinite(v) for v in series.throughput_bps + series.ee_bps_per_watt)
     assert max(series.ee_bps_per_watt) > 1e308
+
+
+def test_omitted_state_probabilities_take_the_record_defaults():
+    text = default_scenario_text()
+    lines = ["  p_inactive: 0.5\n", "  p_active: 0.5\n"]
+    bare = text
+    for line in lines:
+        assert bare.count(line) == 1
+        bare = bare.replace(line, "")
+    defaults = crnoma.SensingProfile._field_defaults
+    written = bare.replace(
+        "  p_false_alarm:",
+        f"  p_inactive: {defaults['p_inactive']!r}\n"
+        f"  p_active: {defaults['p_active']!r}\n  p_false_alarm:",
+    )
+    loaded = load_scenario(bare)
+    assert loaded.sensing.p_inactive == defaults["p_inactive"]
+    assert loaded.sensing.p_active == defaults["p_active"]
+    assert loaded == load_scenario(written)
+
+
+def _nested_carrier(levels):
+    """The default scenario with carrier_ghz nested in ``levels`` flow
+    sequences, so its deepest collection lies ``levels + 2`` levels down."""
+    text = default_scenario_text()
+    assert text.count("carrier_ghz: 5.0") == 1
+    return text.replace("carrier_ghz: 5.0", "carrier_ghz: " + "[" * levels + "5.0" + "]" * levels)
+
+
+LIMIT = crnoma.scenario._MAX_NESTING
+NESTING_ERROR = f"<document>: YAML parse failure: collections nest more than {LIMIT} levels deep"
+ALL_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.parametrize("loader", ALL_LOADERS, ids=lambda loader: loader.__name__)
+def test_nesting_limit_is_exact_under_each_loader(monkeypatch, loader):
+    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", loader)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_nested_carrier(LIMIT - 2))
+    assert str(err.value).startswith("env.carrier_ghz: expected a number")
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_nested_carrier(LIMIT - 1))
+    assert str(err.value) == NESTING_ERROR
+
+
+def test_deep_nesting_is_config_error_without_libyaml(monkeypatch):
+    # SafeLoader's composer recurses in Python: at 1,000 levels it raised
+    # RecursionError.
+    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", yaml.SafeLoader)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_nested_carrier(1000))
+    assert str(err.value) == NESTING_ERROR
+
+
+def test_many_indicator_characters_at_shallow_depth_still_load():
+    # Each negative exponent adds a "-": the cheap bound passes the limit,
+    # and the exact count over the parser's events lets the document through.
+    gains = ", ".join(["1.0e-13"] * (2 * LIMIT))
+    text = MINIMAL.replace("hrc_gains: [1.0e-13]", f"hrc_gains: [{gains}]").replace(
+        "mrc_gains: [8.0e-14]", f"mrc_gains: [{gains}]"
+    )
+    assert sum(map(text.count, "[{-?:")) > LIMIT
+    assert len(load_scenario(text).pairs) == 2 * LIMIT
