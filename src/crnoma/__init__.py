@@ -52,7 +52,9 @@ from .scenario import (
     run_sweep,
 )
 from .units import dbm_to_watt, noise_power_w, watt_to_dbm
-from .validation import CheckResult, ValidationReport, run_validation
+
+# The validation suite serves only ``validate``; it loads on first access.
+_VALIDATION_NAMES = frozenset({"CheckResult", "ValidationReport", "run_validation"})
 
 __version__ = "0.1.0"
 
@@ -101,3 +103,15 @@ __all__ = [
     "throughput",
     "watt_to_dbm",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _VALIDATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import validation
+
+    return getattr(validation, name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _VALIDATION_NAMES)

@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from typing import List, Optional
 
 from .metrics import DEVICES, STATES, improvement_percent
@@ -59,6 +58,8 @@ def _load(scenario_path: Optional[str]) -> Scenario:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    import tempfile  # only --out needs it
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".crnoma-", suffix=".tmp")
     try:
@@ -200,6 +201,13 @@ def _trial_count(text: str) -> int:
     return value
 
 
+def _out_path(text: str) -> str:
+    """argparse type for ``--out``: a non-empty path, so "" is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crnoma",
@@ -218,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--state", choices=STATES, required=True)
     sweep.add_argument("--device", choices=DEVICES, required=True)
     sweep.add_argument("--coupling", choices=COUPLINGS, default="nominal")
-    sweep.add_argument("--out", help="output CSV path (stdout when omitted)")
+    sweep.add_argument("--out", type=_out_path, help="output CSV path (stdout when omitted)")
     sweep.set_defaults(func=_cmd_sweep)
 
     optimize = sub.add_parser(
@@ -227,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("scenario", nargs="?")
     optimize.add_argument("--state", choices=STATES, required=True)
     optimize.add_argument("--coupling", choices=COUPLINGS, default="nominal")
-    optimize.add_argument("--out", help="write a CSV table instead of text")
+    optimize.add_argument("--out", type=_out_path, help="write a CSV table instead of text")
     optimize.set_defaults(func=_cmd_optimize)
 
     pathloss = sub.add_parser("pathloss", help="LOS/NLOS/average pathloss and |g|^2")
@@ -243,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("scenario", nargs="?")
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument("--trials", type=_trial_count, default=1000)
-    validate.add_argument("--out", help="also write the report to a file")
+    validate.add_argument("--out", type=_out_path, help="also write the report to a file")
     validate.set_defaults(func=_cmd_validate)
 
     return parser

@@ -9,12 +9,10 @@ series over a probability grid.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import reprlib
 import sys
 from functools import cached_property, partial
-from importlib import resources
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 import yaml
@@ -88,6 +86,10 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # process some 50,000 levels down, SafeLoader raises RecursionError at
 # about 1,000.
 _MAX_NESTING = 100
+
+# A "-" opens a collection only as a block entry: followed by a blank, a
+# line break or the end of the text (the "-" of a negative exponent is none).
+_BLOCK_ENTRIES = tuple("-" + end for end in "\0 \t\r\n\x85\u2028\u2029")
 
 T = TypeVar("T")
 
@@ -195,6 +197,8 @@ class Scenario(_ScenarioFields):
         Distances and pathloss weights count only through the gains they
         resolve to; a component's repr, and so the hash, tracks its fields.
         """
+        import hashlib  # loads OpenSSL, so only callers that hash pay for it
+
         parts = [
             repr(self.env),
             repr(self.sensing),
@@ -339,11 +343,17 @@ def _build_grid(start: float, stop: float, step: float) -> Tuple[float, ...]:
 def _nests_deeper_than(text: str, limit: int) -> bool:
     """Whether the document's collections nest more than ``limit`` deep.
 
-    Every collection opens at one of the characters ``[{-?:``, so their
-    count bounds the depth; only a larger count pays for an exact count
-    over the parser's events, which neither loader produces recursively.
+    Every collection opens at one of ``[{?:`` (in a flow collection any
+    ``:`` can open a single-pair mapping) or at a block entry ``-``, so
+    their count bounds the depth. Every ``-`` is counted first, since that
+    takes one pass; only a larger count pays for telling the block entries
+    apart, and only a larger count than that for an exact count over the
+    parser's events, which neither loader produces recursively.
     """
-    if sum(map(text.count, "[{-?:")) <= limit:
+    openers = sum(map(text.count, "[{?:"))
+    if openers + text.count("-") <= limit:
+        return False
+    if openers + sum(map(text.count, _BLOCK_ENTRIES)) + text.endswith("-") <= limit:
         return False
     depth = 0
     for event in yaml.parse(text, Loader=_YAML_LOADER):
@@ -534,11 +544,19 @@ def load_scenario_file(path: str) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read scenario {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so ``start`` is a file offset.
+        raise ConfigError(
+            "<file>",
+            f"scenario {path!r} is not UTF-8: {exc.reason} at byte offset {exc.start}",
+        ) from None
     return load_scenario(text)
 
 
 def default_scenario_text() -> str:
     """Raw YAML of the bundled default scenario."""
+    from importlib import resources  # a package resource, so zipped installs work
+
     return resources.files("crnoma").joinpath("data/default.yaml").read_text("utf-8")
 
 

@@ -443,6 +443,42 @@ def test_missing_scenario_file_exit_code(capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "prefix", [b"", b"label: ok\n# " + b"x" * 10_000], ids=["first-byte", "past-8-KiB"]
+)
+def test_non_utf8_scenario_file_is_config_error(tmp_path, capsys, prefix):
+    # A UnicodeDecodeError is a ValueError, which exited 3 as a domain error.
+    # The offset counts from the start of the file, past the first read chunk too.
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(prefix + b"\xff\xfe")
+    rc = main(["sweep", str(path), "--state", "effectual", "--device", "hrc"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"configuration error: <file>: scenario {str(path)!r} is not UTF-8: "
+        f"invalid start byte at byte offset {len(prefix)}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--state", "effectual", "--device", "hrc"],
+        ["optimize", "--state", "effectual"],
+        ["validate", "--trials", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_out_path_is_usage_error(capsys, argv):
+    # "" used to count as no --out: the output went to stdout with exit 0.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --out: must not be empty\n" in captured.err
+
+
 def test_no_partial_output_on_write_failure(tmp_path, capsys):
     target = tmp_path / "missing_dir" / "out.csv"
     rc = main(["sweep", "--state", "effectual", "--device", "hrc", "--out", str(target)])

@@ -302,18 +302,57 @@ def test_builds_go_through_post_init(monkeypatch, cls):
         assert type(duplicated) is cls
 
 
-def test_cli_import_loads_no_dataclasses():
-    # Importing ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) and
-    # exec-compiling each record's methods cost a fresh CLI process ~20 ms.
-    code = (
-        "import json, sys; before = set(sys.modules); import crnoma.cli; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
-    )
+def _fresh_process_json(code):
+    """Run ``code`` in a fresh interpreter on this package and decode its JSON output."""
     src = str(Path(crnoma.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     completed = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    added = json.loads(completed.stdout)
+    return json.loads(completed.stdout)
+
+
+def _modules_added_by(module):
+    # ``before`` is taken first, so what ``site`` preloads does not count.
+    return _fresh_process_json(
+        f"import json, sys; before = set(sys.modules); import {module}; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+
+
+def test_cli_import_loads_no_dataclasses():
+    # Importing ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) and
+    # exec-compiling each record's methods cost a fresh CLI process ~20 ms.
+    added = _modules_added_by("crnoma.cli")
     assert "crnoma.cli" in added
     assert "dataclasses" not in added
+
+
+@pytest.mark.parametrize("module", ["crnoma", "crnoma.scenario"])
+def test_package_import_loads_only_what_computing_needs(module):
+    # Only validate needs the validation suite (~5 ms), only content_hash
+    # hashlib (~5 ms), only the bundled YAML importlib.resources and only
+    # --out tempfile.
+    added = _modules_added_by(module)
+    assert module in added
+    deferred = {"crnoma.validation", "hashlib", "_hashlib", "importlib.resources", "tempfile"}
+    assert deferred.isdisjoint(added)
+
+
+def test_validation_names_load_on_first_access():
+    loaded_by_import, names, loaded_by_star = _fresh_process_json(
+        "import json, sys; import crnoma; "
+        "loaded = 'crnoma.validation' in sys.modules; "
+        "names = {}; exec('from crnoma import *', names); del names['__builtins__']; "
+        "print(json.dumps([loaded, sorted(names), 'crnoma.validation' in sys.modules]))"
+    )
+    assert (loaded_by_import, loaded_by_star) == (False, True)
+    assert names == sorted(crnoma.__all__)
+    assert len(names) == 43
+    from crnoma import validation
+
+    for name in ("CheckResult", "ValidationReport", "run_validation"):
+        assert getattr(crnoma, name) is getattr(validation, name)
+    assert set(crnoma.__all__) <= set(dir(crnoma))
+    with pytest.raises(AttributeError, match="module 'crnoma' has no attribute 'no_such_name'"):
+        crnoma.no_such_name

@@ -1080,12 +1080,92 @@ def test_deep_nesting_is_config_error_without_libyaml(monkeypatch):
     assert str(err.value) == NESTING_ERROR
 
 
-def test_many_indicator_characters_at_shallow_depth_still_load():
-    # Each negative exponent adds a "-": the cheap bound passes the limit,
-    # and the exact count over the parser's events lets the document through.
-    gains = ", ".join(["1.0e-13"] * (2 * LIMIT))
-    text = MINIMAL.replace("hrc_gains: [1.0e-13]", f"hrc_gains: [{gains}]").replace(
-        "mrc_gains: [8.0e-14]", f"mrc_gains: [{gains}]"
+def test_many_indicator_characters_at_shallow_depth_still_load(monkeypatch):
+    # Each block entry adds a "- ": the cheap bound passes the limit, and
+    # the exact count over the parser's events lets the document through.
+    entries = "\n    - 1.0e-13" * (2 * LIMIT)
+    text = MINIMAL.replace("hrc_gains: [1.0e-13]", "hrc_gains:" + entries).replace(
+        "mrc_gains: [8.0e-14]", "mrc_gains:" + entries
     )
-    assert sum(map(text.count, "[{-?:")) > LIMIT
+    assert text.count("- ") > LIMIT
+    parses = []
+    real_parse = yaml.parse
+
+    def counted_parse(*args, **kwargs):
+        parses.append(args)
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "parse", counted_parse)
     assert len(load_scenario(text).pairs) == 2 * LIMIT
+    assert len(parses) == 1
+
+
+def _explicit_gains(count):
+    """The default scenario with ``count`` explicit 1.0e-13 gains per device."""
+    text = default_scenario_text()
+    gains = "[" + ", ".join(["1.0e-13"] * count) + "]"
+    for device in ("hrc", "mrc"):
+        old = re.search(rf"{device}_distances_m: \[.*\]", text).group()
+        text = text.replace(old, f"{device}_gains: {gains}")
+    return text
+
+
+def test_negative_exponents_skip_the_exact_nesting_count(monkeypatch):
+    # Each "1.0e-13" holds a "-" that opens no collection; counting them sent
+    # every such document through a full yaml.parse pass (7 ms of 46 ms).
+    text = _explicit_gains(3000)
+    assert text.count("-") > 6000
+    expected = load_scenario(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact nesting count ran on a shallow document")
+
+    monkeypatch.setattr(yaml, "parse", refuse)
+    loaded = load_scenario(text)
+    assert loaded == expected
+    assert len(loaded.pairs) == 3000
+    assert loaded.pairs[0].hrc_gain == loaded.pairs[-1].mrc_gain == 1.0e-13
+
+
+# A "-" opens a block entry before a blank, before any line break PyYAML
+# knows, or at the end of the text ("").
+BLOCK_ENTRY_ENDS = [" ", "\n", "\r\n", "\r", "\x85", "\u2028", "\u2029", ""]
+
+
+def _block_chain(levels, end):
+    """``levels`` nested block sequences, each entry's "-" followed by ``end``."""
+    if end == "":
+        return "- " * (levels - 1) + "-"
+    if end == " ":
+        return "- " * levels + "x"
+    return "".join("  " * i + "-" + end for i in range(levels)) + "  " * levels + "x"
+
+
+@pytest.mark.parametrize("loader", ALL_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("end", BLOCK_ENTRY_ENDS, ids=repr)
+def test_block_entry_bound_counts_every_entry(monkeypatch, loader, end):
+    # The bound must not undercount: LIMIT + 1 entries nest LIMIT + 1 deep.
+    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", loader)
+    deep, shallow = _block_chain(LIMIT + 1, end), _block_chain(LIMIT, end)
+    events = list(yaml.parse(deep, Loader=loader))
+    assert sum(isinstance(e, yaml.SequenceStartEvent) for e in events) == LIMIT + 1
+    assert crnoma.scenario._nests_deeper_than(deep, LIMIT)
+    assert not crnoma.scenario._nests_deeper_than(shallow, LIMIT)
+
+
+def _block_nested_carrier(levels):
+    """As ``_nested_carrier``, with ``levels`` block sequences ("- - - 5.0")."""
+    text = default_scenario_text()
+    return text.replace("carrier_ghz: 5.0", "carrier_ghz:\n    " + "- " * levels + "5.0")
+
+
+@pytest.mark.parametrize("loader", ALL_LOADERS, ids=lambda loader: loader.__name__)
+def test_block_nesting_limit_is_exact_under_each_loader(monkeypatch, loader):
+    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", loader)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(_block_nested_carrier(LIMIT - 2))
+    assert str(err.value).startswith("env.carrier_ghz: expected a number")
+    for levels in (LIMIT - 1, 1000):
+        with pytest.raises(ConfigError) as err:
+            load_scenario(_block_nested_carrier(levels))
+        assert str(err.value) == NESTING_ERROR
