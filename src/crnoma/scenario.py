@@ -89,7 +89,8 @@ _MAX_NESTING = 100
 
 # A "-" opens a collection only as a block entry: followed by a blank, a
 # line break or the end of the text (the "-" of a negative exponent is none).
-_BLOCK_ENTRIES = tuple("-" + end for end in "\0 \t\r\n\x85\u2028\u2029")
+# Both loaders reject a NUL, PyYAML's own end-of-text mark, before parsing.
+_BLOCK_ENTRIES = tuple("-" + end for end in " \t\r\n\x85\u2028\u2029")
 
 T = TypeVar("T")
 
@@ -345,15 +346,12 @@ def _nests_deeper_than(text: str, limit: int) -> bool:
 
     Every collection opens at one of ``[{?:`` (in a flow collection any
     ``:`` can open a single-pair mapping) or at a block entry ``-``, so
-    their count bounds the depth. Every ``-`` is counted first, since that
-    takes one pass; only a larger count pays for telling the block entries
-    apart, and only a larger count than that for an exact count over the
-    parser's events, which neither loader produces recursively.
+    their count bounds the depth; only a larger count pays for an exact
+    count over the parser's events, which neither loader produces
+    recursively.
     """
-    openers = sum(map(text.count, "[{?:"))
-    if openers + text.count("-") <= limit:
-        return False
-    if openers + sum(map(text.count, _BLOCK_ENTRIES)) + text.endswith("-") <= limit:
+    openers = sum(map(text.count, "[{?:")) + sum(map(text.count, _BLOCK_ENTRIES))
+    if openers + text.endswith("-") <= limit:
         return False
     depth = 0
     for event in yaml.parse(text, Loader=_YAML_LOADER):

@@ -1129,13 +1129,17 @@ def test_negative_exponents_skip_the_exact_nesting_count(monkeypatch):
 
 # A "-" opens a block entry before a blank, before any line break PyYAML
 # knows, or at the end of the text ("").
-BLOCK_ENTRY_ENDS = [" ", "\n", "\r\n", "\r", "\x85", "\u2028", "\u2029", ""]
+BLOCK_ENTRY_ENDS = [" ", "\t", "\n", "\r\n", "\r", "\x85", "\u2028", "\u2029", ""]
 
 
 def _block_chain(levels, end):
     """``levels`` nested block sequences, each entry's "-" followed by ``end``."""
     if end == "":
         return "- " * (levels - 1) + "-"
+    if end == "\t":
+        # Only the last level: both scanners open its sequence, then reject
+        # the tab.
+        return "- " * (levels - 1) + "-\tx"
     if end == " ":
         return "- " * levels + "x"
     return "".join("  " * i + "-" + end for i in range(levels)) + "  " * levels + "x"
@@ -1147,8 +1151,13 @@ def test_block_entry_bound_counts_every_entry(monkeypatch, loader, end):
     # The bound must not undercount: LIMIT + 1 entries nest LIMIT + 1 deep.
     monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", loader)
     deep, shallow = _block_chain(LIMIT + 1, end), _block_chain(LIMIT, end)
-    events = list(yaml.parse(deep, Loader=loader))
-    assert sum(isinstance(e, yaml.SequenceStartEvent) for e in events) == LIMIT + 1
+    starts = 0
+    try:
+        for event in yaml.parse(deep, Loader=loader):
+            starts += isinstance(event, yaml.SequenceStartEvent)
+    except yaml.YAMLError:
+        assert end == "\t"
+    assert starts == LIMIT + 1
     assert crnoma.scenario._nests_deeper_than(deep, LIMIT)
     assert not crnoma.scenario._nests_deeper_than(shallow, LIMIT)
 
