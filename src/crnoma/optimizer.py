@@ -284,7 +284,7 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     # Keyed by state for the HRC tuple and by (state, coupling) for the
     # optima.  Results are deterministic; when threads race to store one,
     # setdefault hands back the value stored first.
-    memo = scenario._optima
+    memo = scenario._memo
     optima = memo.get((state, coupling))
     if optima is not None:
         return optima

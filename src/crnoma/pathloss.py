@@ -103,13 +103,30 @@ def pathloss_average_db(
     if combine == "db":
         return los_probability * los + (1.0 - los_probability) * nlos
     if combine == "linear":
-        mixed = los_probability * power_gain(los) + (1.0 - los_probability) * power_gain(nlos)
+        # One term may underflow to 0 while the mix stays positive.
+        mixed = los_probability * _linear_gain(los) + (1.0 - los_probability) * _linear_gain(nlos)
+        if mixed == 0.0:
+            raise ValueError(
+                f"LOS and NLOS pathlosses {los!r} and {nlos!r} dB mix to a power gain of 0"
+            )
         return -10.0 * math.log10(mixed)
     raise ValueError(f"combine must be 'db' or 'linear', got {combine!r}")
 
 
 def power_gain(pathloss_db: float) -> float:
-    """Linear power channel gain |g|^2 = 10**(-PL/10) for a pathloss in dB."""
+    """Linear power channel gain |g|^2 = 10**(-PL/10) for a pathloss in dB.
+
+    Raises ValueError when the gain overflows or underflows to 0; a
+    subnormal gain is returned as it is.
+    """
+    gain = _linear_gain(pathloss_db)
+    if gain == 0.0:
+        raise ValueError(f"pathloss {pathloss_db!r} dB underflows to a power gain of 0")
+    return gain
+
+
+def _linear_gain(pathloss_db: float) -> float:
+    """10**(-PL/10), possibly 0; ValueError when PL is not finite or the gain overflows."""
     if not math.isfinite(pathloss_db):
         raise ValueError(f"pathloss_db must be finite, got {pathloss_db!r}")
     try:

@@ -61,7 +61,8 @@ UNIT_MODES = ("watt", "dbm")
 _GRID_DECIMALS = 12
 
 # Largest p_x grid a scenario may ask for. A series adds two float columns
-# to the grid, about 64 bytes per point, so this bounds one near 61 MiB.
+# to the grid, about 64 bytes per point, so this bounds one near 61 MiB;
+# each state's memoized prefactor column adds about 32 bytes per point.
 _MAX_GRID_POINTS = 1_000_000
 
 # The keys each table may hold ("" is the top level); any other key is a
@@ -168,7 +169,7 @@ class Scenario(_ScenarioFields):
 
     Its fields are listed in a separate ``NamedTuple`` base because a
     ``NamedTuple`` class has ``__slots__ = ()``; this subclass has none, so
-    the instance ``__dict__`` holds the ``_optima`` memo, and
+    the instance ``__dict__`` holds the ``_memo``, and
     ``__setattr__`` keeps every other attribute unassignable.
     """
 
@@ -213,12 +214,16 @@ class Scenario(_ScenarioFields):
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
     @cached_property
-    def _optima(self) -> dict:
-        """``optimize_scenario``'s results for this scenario, filled on demand.
+    def _memo(self) -> dict:
+        """Per-state results for this scenario, filled on demand.
 
+        ``optimize_scenario`` keeps each state's HRC optima under ``state``
+        and each ``ScenarioOptima`` under ``(state, coupling)``; ``run_sweep``
+        keeps each state's prefactor column under ``("prefactors", state)``.
         Not a field, so ``repr``, ``==``, ``hash``, ``content_hash`` and
-        ``_replace`` ignore it, and a replaced scenario starts empty.  Every
-        field is frozen, so a stored result cannot go stale.
+        ``_replace`` ignore it, and a replaced scenario starts empty.
+        ``copy`` and ``pickle`` carry it with the instance ``__dict__``.
+        Every field is frozen, so a stored result cannot go stale.
         """
         return {}
 
@@ -581,11 +586,13 @@ def run_sweep(
     series evaluates are held as HRC and MRC columns; no pair is copied.
 
     Throughput is linear in p_x, so the pairs' Shannon rates are summed once
-    per series (``_rate_sum``) and every grid point costs one prefactor product, in
-    ``throughput``'s operation order: each throughput row equals
-    ``throughput(sensing with p_x, ...) / n`` bit for bit, and a row whose
-    sum overflows raises ValueError as ``throughput`` does.  The series is
-    stored as columns, so no per-point record is built.
+    per series (``_rate_sum``).  The prefactor duty * p_x * miss * b at each
+    grid point depends only on the scenario and the state, so its column
+    is kept in the scenario's memo beside the optima, and each row costs
+    one product and one division in ``throughput``'s operation order: each
+    throughput row equals ``throughput(sensing with p_x, ...) / n`` bit for
+    bit, and a row whose sum overflows raises ValueError as ``throughput``
+    does.  The series is stored as columns, so no per-point record is built.
     """
     _check_state(state)
     _check_device(device)
@@ -630,30 +637,37 @@ def run_sweep(
     # energy_efficiency's checks on the transmit power, once per series.
     consumed = _consumed_power_w(mean_tx, scenario.overheads)
 
-    sensing = scenario.sensing
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
     total = _rate_sum(device, base, pairs, hrc_powers, powers)
-    duty = duty_factor(sensing)
-    miss = _detection_term(sensing, state)
     bandwidth = scenario.env.bandwidth_hz
     grid = scenario.sweep_grid
 
-    # ((((duty * p_x) * miss) * b) * rate sum) / n: the operation order of
-    # ``throughput``, whose prefactor is _kappa_b with p_x in place of the
-    # state's probability.  energy_efficiency's check that throughput is
-    # >= 0 holds by construction: duty lies in (0, 1], p_x (checked by
-    # Scenario) and miss in [0, 1], bandwidth is > 0, and each rate is
-    # log2(1 + S / D) with S >= 0 and D > 0.
-    throughputs = [duty * p_x * miss * bandwidth * total / n for p_x in grid]
+    # ((duty * p_x) * miss) * b at each grid point, ``_kappa_b`` with p_x as
+    # the state's probability: one column per state, formed by its first
+    # series; racing threads all get the column setdefault stored first.
+    memo = scenario._memo
+    prefactors = memo.get(("prefactors", state))
+    if prefactors is None:
+        duty = duty_factor(scenario.sensing)
+        miss = _detection_term(scenario.sensing, state)
+        column = tuple([duty * p_x * miss * bandwidth for p_x in grid])
+        prefactors = memo.setdefault(("prefactors", state), column)
+
+    # (prefactor * rate sum) / n: the operation order of ``throughput``.
+    # energy_efficiency's check that throughput is >= 0 holds by
+    # construction: duty lies in (0, 1], p_x (checked by Scenario) and miss
+    # in [0, 1], bandwidth is > 0, and each rate is log2(1 + S / D) with
+    # S >= 0 and D > 0.
+    throughputs = [prefactor * total / n for prefactor in prefactors]
     # Overflow checks, once per series.  Every prefactor is at most the
     # bandwidth, so every row is at most b * total / n and every EE at most
     # that over ``consumed``; only when that bound overflows are the rows
     # scanned.  A row is inf only where prefactor * total is, which is where
     # ``throughput`` raises; the largest row gives the largest EE.
     if bandwidth * total / n / consumed == math.inf:
-        for p_x, mean in zip(grid, throughputs):
+        for prefactor, mean in zip(prefactors, throughputs):
             if mean == math.inf:
-                raise _throughput_overflow(device, duty * p_x * miss * bandwidth, total)
+                raise _throughput_overflow(device, prefactor, total)
         peak = max(throughputs)
         if peak / consumed == math.inf:
             raise ValueError(

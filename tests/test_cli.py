@@ -725,6 +725,15 @@ def test_overflowing_sweep_row_raises_as_throughput_does(tmp_path, capsys, n):
     with pytest.raises(ValueError) as err:
         crnoma.scenario.run_sweep(scenario, "effectual", "hrc", False)
     assert str(err.value) == message
+    # The same prefactor is named when the state's memoized column was
+    # formed by an earlier series, whether that series raised or not.
+    warm = scenario._replace()
+    assert math.isfinite(max(crnoma.scenario.run_sweep(warm, "effectual", "mrc", False).throughput_bps))
+    for scn in (scenario, warm):
+        assert ("prefactors", "effectual") in scn._memo
+        with pytest.raises(ValueError) as err:
+            crnoma.scenario.run_sweep(scn, "effectual", "hrc", False)
+        assert str(err.value) == message
     assert _probe_exit(tmp_path, text) == 3
     assert capsys.readouterr().err == f"domain error: {message}\n"
 
@@ -941,6 +950,15 @@ def test_pathloss_gain_overflow_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "note: distance 1e-300 m outside the model validity range (10.0, 2000.0) m\n" in err
     assert "overflows as a power gain" in err
+
+
+def test_pathloss_gain_underflow_is_usage_error(capsys):
+    assert main(["pathloss", "--d", "1e200", "--f", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: pathloss 5911.426310099729 dB underflows to a power gain of 0\n"
+    )
 
 
 def _yaml_paths(node, prefix=()):

@@ -65,6 +65,23 @@ def test_linear_combine_mixes_gains():
     assert los <= linear <= pathloss_average_db(100.0, 5.0, 0.5)
 
 
+def test_power_gain_that_underflows_to_zero_raises():
+    # 10 ** -323.3 rounds to the smallest subnormal, which is a valid gain;
+    # 10 ** -324 rounds to 0, which no loader or solver can use.
+    assert power_gain(3233.0) == 5e-324
+    with pytest.raises(ValueError, match=r"^pathloss 3240.0 dB underflows to a power gain of 0$"):
+        power_gain(3240.0)
+    far = pathloss_average_db(1e200, 5.0)
+    with pytest.raises(ValueError, match="underflows to a power gain of 0"):
+        power_gain(far)
+    # The linear mix takes each term as it is, so one term may underflow.
+    assert pathloss_average_db(1e100, 5.0, 0.5, combine="linear") == pytest.approx(
+        -10.0 * math.log10(0.5 * power_gain(pathloss_los_db(1e100, 5.0))), rel=1e-14
+    )
+    with pytest.raises(ValueError, match="mix to a power gain of 0$"):
+        pathloss_average_db(1e100, 5.0, 0.0, combine="linear")
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         pathloss_los_db(0.0, 5.0)

@@ -24,6 +24,7 @@ from crnoma import (
     SensingProfile,
     load_default_scenario,
     optimize_scenario,
+    run_sweep,
 )
 
 # A valid record of each checked class, with one invalid change per check,
@@ -263,12 +264,20 @@ def test_default_scenario_reprs_are_unchanged(default_scenario):
 def test_replaced_scenario_memo_starts_empty():
     scenario = load_default_scenario()
     optimize_scenario(scenario, "effectual")
-    assert scenario._optima
+    run_sweep(scenario, "interference", "mrc", False)
+    assert set(scenario._memo) == {
+        "effectual",
+        ("effectual", "nominal"),
+        ("prefactors", "interference"),
+    }
     relabelled = scenario._replace(label="x")
-    assert relabelled._optima == {}
+    assert relabelled._memo == {}
+    # copy and pickle carry the memo with the instance __dict__.
+    for duplicate in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        assert repr(duplicate(scenario)._memo) == repr(scenario._memo)
     # The memo is not a field, and no attribute can be set from outside.
     with pytest.raises(AttributeError):
-        scenario._optima = {}
+        scenario._memo = {}
     with pytest.raises(AttributeError):
         scenario.extra = 1
     with pytest.raises(AttributeError):

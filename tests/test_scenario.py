@@ -30,6 +30,7 @@ from crnoma import (
     run_sweep,
     throughput,
 )
+from crnoma.metrics import _kappa_b
 from crnoma.scenario import default_scenario_text
 from conftest import make_scenario
 
@@ -694,6 +695,41 @@ def test_memo_is_exact_under_concurrent_calls(default_scenario):
     assert wrong == []
 
 
+def test_each_state_forms_its_prefactor_column_once():
+    scn = load_scenario(DBM_GAINS)
+    run_sweep(scn, EFFECTUAL, "hrc", False)
+    column = scn._memo[("prefactors", EFFECTUAL)]
+    # Each entry is _kappa_b with p_x as the state's probability, bit for bit.
+    assert column == tuple(
+        _kappa_b(scn.sensing._replace(p_inactive=p_x), scn.env, EFFECTUAL)
+        for p_x in scn.sweep_grid
+    )
+    for args in ALL_SERIES[1:]:
+        if args[0] == EFFECTUAL:
+            run_sweep(scn, *args)
+            assert scn._memo[("prefactors", EFFECTUAL)] is column
+    assert ("prefactors", INTERFERENCE) not in scn._memo
+    run_sweep(scn, INTERFERENCE, "hrc", False)
+    other = scn._memo[("prefactors", INTERFERENCE)]
+    assert other is not column and other != column
+    assert scn._memo[("prefactors", EFFECTUAL)] is column
+
+
+@pytest.mark.parametrize("scenario_kind", ["default", "dbm_gains"])
+def test_series_are_bit_identical_with_a_cold_or_warm_memo(default_scenario, scenario_kind):
+    """Every series equals its value on a fresh scenario, whether the memo
+    was filled by the series before it (in forward or reverse order) or by
+    all the others."""
+    scn = default_scenario if scenario_kind == "default" else load_scenario(DBM_GAINS)
+    cold = {args: repr(run_sweep(scn._replace(), *args)) for args in ALL_SERIES}
+    assert len(cold) == 16
+    for order in (ALL_SERIES, ALL_SERIES[::-1]):
+        warm = scn._replace()
+        for _ in range(2):  # the second pass runs each series after all the others
+            for args in order:
+                assert repr(run_sweep(warm, *args)) == cold[args], args
+
+
 def test_scenario_rejects_grid_value_outside_probability(default_scenario):
     # Checked when the Scenario is built, so no sweep can see such a grid.
     for bad in (1.5, math.nan):
@@ -927,6 +963,10 @@ SITE_ERRORS = {
     "hrc_distance_overflow": (
         [("devices.hrc_distances_m", [1200.0, 1e-300] + _HRC_DISTANCES[2:])],
         "devices.hrc[1]: pathloss -8763.573689900271 dB overflows as a power gain",
+    ),
+    "hrc_distance_underflow": (
+        [("devices.hrc_distances_m", [1e200] + _HRC_DISTANCES[1:])],
+        "devices.hrc[0]: pathloss 5911.426310099729 dB underflows to a power gain of 0",
     ),
     "mrc_negative_distance": (
         [("devices.mrc_distances_m", [1300.0, 1500.0, -5.0, 1900.0, 2000.0])],
