@@ -263,20 +263,19 @@ def duty_factor(sensing: SensingProfile) -> float:
     return sensing.t_transmit_s / (sensing.t_transmit_s + sensing.t_sense_s)
 
 
-def _detection_term(sensing: SensingProfile, state: str) -> float:
-    """Weight of a correct sensing decision: 1 - p_false_alarm or 1 - p_detection."""
-    return 1.0 - (sensing.p_false_alarm if state == EFFECTUAL else sensing.p_detection)
+def _prefactor(sensing: SensingProfile, env: RadioEnvironment, state: str) -> Tuple[float, float]:
+    """The state's rate prefactor as its two factors (p_x, K): p_x is
+    p_inactive or p_active, K = duty * (1 - p_false_alarm | 1 - p_detection) * b.
 
-
-def _kappa_b(sensing: SensingProfile, env: RadioEnvironment, state: str) -> float:
-    """Rate prefactor duty * p_x(state) * (1 - p_false_alarm | 1 - p_detection) * b.
-
-    Rounded left to right.  ``run_sweep`` forms the same product with each
-    grid p_x and multiplies it by the same ``_rate_sum``, so each of its rows is
-    ``throughput(...) / n`` bit for bit.
+    Each throughput is p_x * (K * rate sum) (``_scaled_rate_sum``).  Taking
+    p_x last lets ``run_sweep`` form K * rate sum once per series, and each
+    of its rows is still ``throughput(...) / n`` bit for bit.
     """
-    p_state = sensing.p_inactive if state == EFFECTUAL else sensing.p_active
-    return duty_factor(sensing) * p_state * _detection_term(sensing, state) * env.bandwidth_hz
+    if state == EFFECTUAL:
+        p_state, miss = sensing.p_inactive, 1.0 - sensing.p_false_alarm
+    else:
+        p_state, miss = sensing.p_active, 1.0 - sensing.p_detection
+    return p_state, duty_factor(sensing) * miss * env.bandwidth_hz
 
 
 def _base_denominator_w(env: RadioEnvironment, primary: Optional[PrimaryLink] = None) -> float:
@@ -346,23 +345,29 @@ def throughput(
     power in D as in-cell NOMA interference.
     """
     _check_device(device)
-    kappa_b = _kappa_b(sensing, env, EFFECTUAL if primary is None else INTERFERENCE)
+    p_state, kappa_b = _prefactor(sensing, env, EFFECTUAL if primary is None else INTERFERENCE)
     hrc_powers = [p.hrc_power_w for p in pairs]
     powers = hrc_powers if device == HRC else [p.mrc_power_w for p in pairs]
     total = _rate_sum(device, _base_denominator_w(env, primary), pairs, hrc_powers, powers)
-    # Each rate is finite, so only the prefactor's product can overflow.
-    summed = kappa_b * total
-    if summed == math.inf:
-        raise _throughput_overflow(device, kappa_b, total)
-    return summed
+    return p_state * _scaled_rate_sum(device, kappa_b, total)
 
 
-def _throughput_overflow(device: str, kappa_b: float, rate_sum: float) -> ValueError:
-    """The error for a prefactor times rate sum that overflows to inf."""
-    return ValueError(
-        f"{device} throughput overflows to inf: prefactor {kappa_b!r} Hz "
-        f"times rate sum {rate_sum!r}"
-    )
+def _scaled_rate_sum(device: str, kappa_b: float, rate_sum: float) -> float:
+    """K * rate sum, the throughput at p_x = 1, in bps; each throughput is
+    p_x times it.
+
+    Raises ValueError when it overflows, whatever p_x is.  As p_x <= 1, no
+    throughput overflows once this is finite, and p_x = 0 cannot turn an
+    inf into 0 * inf = NaN.
+    """
+    scaled = kappa_b * rate_sum
+    # Each rate is finite, so only this product can overflow.
+    if scaled == math.inf:
+        raise ValueError(
+            f"{device} throughput overflows to inf: prefactor {kappa_b!r} Hz "
+            f"times rate sum {rate_sum!r}"
+        )
+    return scaled
 
 
 def energy_efficiency(

@@ -6,8 +6,9 @@ For a single device the EE curve over its own transmit power p is
 
 with g2 the own-link power gain, D the total denominator power (noise plus
 every interfering received power for that device and state), and
-C = circuit + sensing overhead.  The state's prefactor kappa * b
-(``metrics._kappa_b``) never moves the maximum, which has the closed form
+C = circuit + sensing overhead.  The state's prefactor kappa * b, the
+state's probability p_x times K (``metrics._prefactor``), never moves the
+maximum, which has the closed form
 
     p* = (C * g2 - D) / (W0(((C * g2 - D) / D) * e^-1) * g2) - D / g2
 
@@ -40,7 +41,7 @@ from .metrics import (
     _ee_overflow,
     _FLOAT_MIN,
     _gains_and_denominators,
-    _kappa_b,
+    _prefactor,
 )
 
 __all__ = [
@@ -115,14 +116,15 @@ def _closed_form(
     g2: float,
     d: float,
     c: float,
+    p_state: float,
     kappa_b: float,
     lambert_fn: Callable[[float], float],
 ) -> OptResult:
     """The Lambert-W stationary power for gain g2, denominator d, overheads c.
 
     The one place the closed form and its infeasibility branches are
-    written; EE at the optimum is ``kappa_b * rate / (p + c)``, in
-    ``ee_of_power``'s operation order.
+    written; EE at the optimum is ``p_state * (kappa_b * rate) / (p + c)``,
+    in ``throughput`` and ``energy_efficiency``'s operation order.
     """
     numerator = c * g2 - d
     arg = (numerator / d) * _INV_E
@@ -160,8 +162,10 @@ def _closed_form(
         return OptResult(
             math.nan, math.nan, False, arg, f"closed form yielded non-positive power {power!r}"
         )
+    # The rate at p_x = 1 is what an error names: an inf there raises even
+    # at p_state = 0, where the EE is 0 * inf = NaN, as ``throughput`` does.
     rate = kappa_b * math.log2(1.0 + power * g2 / d)
-    ee = rate / (power + c)
+    ee = p_state * rate / (power + c)
     if not ee < math.inf:
         raise _ee_overflow(rate, power + c)
     return OptResult(power, ee, True, arg)
@@ -176,7 +180,7 @@ def optimal_power(
     solver can be injected to prove the stationarity checks have teeth.
     """
     gain, denom, overheads = problem
-    return _closed_form(gain, denom, overheads.total_w, 1.0, lambert_fn)
+    return _closed_form(gain, denom, overheads.total_w, 1.0, 1.0, lambert_fn)
 
 
 def numerical_argmax(problem: OptProblem) -> float:
@@ -291,12 +295,12 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
     overhead = scenario.overheads.total_w
-    kappa_b = _kappa_b(scenario.sensing, scenario.env, state)
+    p_x, kappa_b = _prefactor(scenario.sensing, scenario.env, state)
     pairs = scenario.pairs
 
     def solve(gains, denoms):
         return tuple(
-            [_closed_form(g, d, overhead, kappa_b, lambert_w0) for g, d in zip(gains, denoms)]
+            [_closed_form(g, d, overhead, p_x, kappa_b, lambert_w0) for g, d in zip(gains, denoms)]
         )
 
     hrc = memo.get(state)

@@ -33,11 +33,10 @@ from .metrics import (
     _check_state,
     _checked,
     _consumed_power_w,
-    _detection_term,
+    _prefactor,
     _rate_sum,
+    _scaled_rate_sum,
     _sic_ordering_holds,
-    _throughput_overflow,
-    duty_factor,
 )
 from .optimizer import _check_coupling, _coupled_hrc_powers, optimize_scenario
 from .pathloss import DEFAULT_LOS_PROBABILITY, pathloss_average_db, power_gain, range_notes
@@ -61,8 +60,7 @@ UNIT_MODES = ("watt", "dbm")
 _GRID_DECIMALS = 12
 
 # Largest p_x grid a scenario may ask for. A series adds two float columns
-# to the grid, about 64 bytes per point, so this bounds one near 61 MiB;
-# each state's memoized prefactor column adds about 32 bytes per point.
+# to the grid, about 64 bytes per point, so this bounds one near 61 MiB.
 _MAX_GRID_POINTS = 1_000_000
 
 # The keys each table may hold ("" is the top level); any other key is a
@@ -218,8 +216,7 @@ class Scenario(_ScenarioFields):
         """Per-state results for this scenario, filled on demand.
 
         ``optimize_scenario`` keeps each state's HRC optima under ``state``
-        and each ``ScenarioOptima`` under ``(state, coupling)``; ``run_sweep``
-        keeps each state's prefactor column under ``("prefactors", state)``.
+        and each ``ScenarioOptima`` under ``(state, coupling)``.
         Not a field, so ``repr``, ``==``, ``hash``, ``content_hash`` and
         ``_replace`` ignore it, and a replaced scenario starts empty.
         ``copy`` and ``pickle`` carry it with the instance ``__dict__``.
@@ -585,14 +582,14 @@ def run_sweep(
     the same scenario reuse the same ``ScenarioOptima``.  The powers a
     series evaluates are held as HRC and MRC columns; no pair is copied.
 
-    Throughput is linear in p_x, so the pairs' Shannon rates are summed once
-    per series (``_rate_sum``).  The prefactor duty * p_x * miss * b at each
-    grid point depends only on the scenario and the state, so its column
-    is kept in the scenario's memo beside the optima, and each row costs
-    one product and one division in ``throughput``'s operation order: each
-    throughput row equals ``throughput(sensing with p_x, ...) / n`` bit for
-    bit, and a row whose sum overflows raises ValueError as ``throughput``
-    does.  The series is stored as columns, so no per-point record is built.
+    Throughput is linear in p_x, so the pairs' Shannon rates are summed and
+    scaled by K = duty * miss * b once per series (``_scaled_rate_sum``),
+    and each row costs one product and one division in ``throughput``'s
+    operation order, p_x * (K * rate sum) / n: each throughput row equals
+    ``throughput(sensing with p_x, ...) / n`` bit for bit.  When K * rate
+    sum overflows, the series raises ``throughput``'s ValueError, whatever
+    the grid.  The series is stored as columns, so no per-point record is
+    built.
     """
     _check_state(state)
     _check_device(device)
@@ -638,36 +635,20 @@ def run_sweep(
     consumed = _consumed_power_w(mean_tx, scenario.overheads)
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
-    total = _rate_sum(device, base, pairs, hrc_powers, powers)
-    bandwidth = scenario.env.bandwidth_hz
+    _, kappa_b = _prefactor(scenario.sensing, scenario.env, state)
+    scaled = _scaled_rate_sum(device, kappa_b, _rate_sum(device, base, pairs, hrc_powers, powers))
     grid = scenario.sweep_grid
 
-    # ((duty * p_x) * miss) * b at each grid point, ``_kappa_b`` with p_x as
-    # the state's probability: one column per state, formed by its first
-    # series; racing threads all get the column setdefault stored first.
-    memo = scenario._memo
-    prefactors = memo.get(("prefactors", state))
-    if prefactors is None:
-        duty = duty_factor(scenario.sensing)
-        miss = _detection_term(scenario.sensing, state)
-        column = tuple([duty * p_x * miss * bandwidth for p_x in grid])
-        prefactors = memo.setdefault(("prefactors", state), column)
-
-    # (prefactor * rate sum) / n: the operation order of ``throughput``.
+    # p_x * (K * rate sum) / n: the operation order of ``throughput``.
     # energy_efficiency's check that throughput is >= 0 holds by
     # construction: duty lies in (0, 1], p_x (checked by Scenario) and miss
     # in [0, 1], bandwidth is > 0, and each rate is log2(1 + S / D) with
     # S >= 0 and D > 0.
-    throughputs = [prefactor * total / n for prefactor in prefactors]
-    # Overflow checks, once per series.  Every prefactor is at most the
-    # bandwidth, so every row is at most b * total / n and every EE at most
-    # that over ``consumed``; only when that bound overflows are the rows
-    # scanned.  A row is inf only where prefactor * total is, which is where
-    # ``throughput`` raises; the largest row gives the largest EE.
-    if bandwidth * total / n / consumed == math.inf:
-        for prefactor, mean in zip(prefactors, throughputs):
-            if mean == math.inf:
-                raise _throughput_overflow(device, prefactor, total)
+    throughputs = [p_x * scaled / n for p_x in grid]
+    # Every p_x is at most 1, so every row is at most scaled / n and every
+    # EE at most that over ``consumed``; only when that bound overflows is
+    # the largest row checked.
+    if scaled / n / consumed == math.inf:
         peak = max(throughputs)
         if peak / consumed == math.inf:
             raise ValueError(

@@ -671,38 +671,64 @@ def test_overflowing_throughput_is_named_domain_error(tmp_path, capsys):
         assert old in text
         text = text.replace(old, new)
     scenario = crnoma.scenario.load_scenario(text)
-    with pytest.raises(ValueError) as err:
-        throughput(scenario.sensing, scenario.env, scenario.pairs, "hrc")
-    assert str(err.value).startswith("hrc throughput overflows to inf: prefactor 2.25e+305 Hz")
-    message = _first_overflow_message(scenario)
+    # The message names K = duty * miss * b, the prefactor without p_x.
+    message = _overflow_message(scenario)
+    assert message.startswith("hrc throughput overflows to inf: prefactor 4.5e+305 Hz")
     with pytest.raises(ValueError) as err:
         crnoma.scenario.run_sweep(scenario, "effectual", "hrc", False)
     assert str(err.value) == message
-    # The optimized powers give another rate sum, so another first row.
-    with pytest.raises(ValueError, match="^hrc throughput overflows to inf: prefactor "):
+    # The optimized powers give another rate sum, under the same K.
+    with pytest.raises(ValueError, match="^hrc throughput overflows to inf: prefactor 4.5e"):
         crnoma.scenario.run_sweep(scenario, "effectual", "hrc", True)
     assert _probe_exit(tmp_path, text) == 3
     assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
-def _first_overflow_message(scenario):
-    """The message of ``throughput`` at the first grid point where the
-    nominal HRC throughput overflows, which ``run_sweep`` must repeat."""
-    for p_x in scenario.sweep_grid:
+def test_overflowing_rate_raises_at_zero_p_x(tmp_path, capsys):
+    # One pair with a 1e300 HRC gain under a 1.5e308 Hz bandwidth: K * rate
+    # sum overflows, and at p_inactive = 0 the throughput and the optimum's
+    # EE would be 0 * inf = NaN.  Each raises instead.
+    text = crnoma.scenario.default_scenario_text()
+    for old, new in (
+        ("bandwidth_hz: 1.0e+6", "bandwidth_hz: 1.5e+308"),
+        ("noise_psd_dbm_hz: -174.0", "noise_psd_dbm_hz: -3000.0"),
+        ("p_inactive: 0.5", "p_inactive: 0.0"),
+        ("hrc_distances_m: [1200.0, 1400.0, 1600.0, 1800.0, 2000.0]", "hrc_gains: [1.0e+300]"),
+        ("mrc_distances_m: [1300.0, 1500.0, 1700.0, 1900.0, 2000.0]", "mrc_gains: [1.0e+200]"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    scenario = crnoma.scenario.load_scenario(text)
+    message = _overflow_message(scenario)
+    assert message.startswith("hrc throughput overflows to inf: prefactor 6.75e+307 Hz")
+    with pytest.raises(ValueError) as err:
+        crnoma.scenario.run_sweep(scenario, "effectual", "hrc", False)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="^energy efficiency is not finite: inf over "):
+        crnoma.scenario.optimize_scenario(scenario, "effectual")
+    assert _probe_exit(tmp_path, text) == 3
+    assert capsys.readouterr().err == f"domain error: {message}\n"
+
+
+def _overflow_message(scenario):
+    """The message of the nominal HRC ``throughput``, which must raise at
+    every p_inactive, 0 included, once K * rate sum overflows."""
+    messages = set()
+    for p_x in (scenario.sensing.p_inactive, 0.0, 1.0):
         sensing = scenario.sensing._replace(p_inactive=p_x)
-        try:
+        with pytest.raises(ValueError) as err:
             throughput(sensing, scenario.env, scenario.pairs, "hrc")
-        except ValueError as exc:
-            return str(exc)
-    raise AssertionError("no grid point overflows")
+        messages.add(str(err.value))
+    (message,) = messages
+    return message
 
 
 @pytest.mark.parametrize("n", [45, 100])
 def test_overflowing_sweep_row_raises_as_throughput_does(tmp_path, capsys, n):
     # 1e300 HRC gains under a 1e304 Hz bandwidth: every S/D is finite, each
-    # rate is about 989 bits, and prefactor * rate sum overflows at the
-    # larger p_x.  With 45 pairs the throughput at p_inactive = 0.5 is still
-    # finite; with 100 it overflows too.
+    # rate is about 989 bits, and K * rate sum overflows.  With 45 pairs
+    # p_x * K * rate sum is still finite at p_x = 0.5, but throughput and
+    # every sweep raise as they do with 100 pairs, whatever their p_x.
     text = crnoma.scenario.default_scenario_text()
     hrc_gains = ", ".join(["1.0e+300"] * n)
     mrc_gains = ", ".join(["1.0e+100"] * n)
@@ -716,26 +742,22 @@ def test_overflowing_sweep_row_raises_as_throughput_does(tmp_path, capsys, n):
         text = text.replace(old, new)
     scenario = crnoma.scenario.load_scenario(text)
     assert len(scenario.pairs) == n
-    if n == 45:
-        assert math.isfinite(throughput(scenario.sensing, scenario.env, scenario.pairs, "hrc"))
-    else:
-        with pytest.raises(ValueError, match="^hrc throughput overflows to inf"):
-            throughput(scenario.sensing, scenario.env, scenario.pairs, "hrc")
-    message = _first_overflow_message(scenario)
-    with pytest.raises(ValueError) as err:
-        crnoma.scenario.run_sweep(scenario, "effectual", "hrc", False)
-    assert str(err.value) == message
-    # The same prefactor is named when the state's memoized column was
-    # formed by an earlier series, whether that series raised or not.
+    message = _overflow_message(scenario)
+    assert message.startswith("hrc throughput overflows to inf: prefactor 4.5e+303 Hz")
+    # A grid that stops at 0.5 raises too, and so does a series after an
+    # earlier one of the same scenario.
+    half_text = text.replace("stop: 1.0", "stop: 0.5")
+    half = crnoma.scenario.load_scenario(half_text)
+    assert half.sweep_grid[-1] == 0.5
     warm = scenario._replace()
     assert math.isfinite(max(crnoma.scenario.run_sweep(warm, "effectual", "mrc", False).throughput_bps))
-    for scn in (scenario, warm):
-        assert ("prefactors", "effectual") in scn._memo
+    for scn in (scenario, half, warm):
         with pytest.raises(ValueError) as err:
             crnoma.scenario.run_sweep(scn, "effectual", "hrc", False)
         assert str(err.value) == message
-    assert _probe_exit(tmp_path, text) == 3
-    assert capsys.readouterr().err == f"domain error: {message}\n"
+    for probe in (text, half_text):
+        assert _probe_exit(tmp_path, probe) == 3
+        assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 # A 401-digit integer overflows a float; a 5,000-digit one is over Python's

@@ -265,11 +265,8 @@ def test_replaced_scenario_memo_starts_empty():
     scenario = load_default_scenario()
     optimize_scenario(scenario, "effectual")
     run_sweep(scenario, "interference", "mrc", False)
-    assert set(scenario._memo) == {
-        "effectual",
-        ("effectual", "nominal"),
-        ("prefactors", "interference"),
-    }
+    # Only the optima are kept; a sweep stores nothing of its own.
+    assert set(scenario._memo) == {"effectual", ("effectual", "nominal")}
     relabelled = scenario._replace(label="x")
     assert relabelled._memo == {}
     # copy and pickle carry the memo with the instance __dict__.

@@ -30,7 +30,6 @@ from crnoma import (
     run_sweep,
     throughput,
 )
-from crnoma.metrics import _kappa_b
 from crnoma.scenario import default_scenario_text
 from conftest import make_scenario
 
@@ -693,26 +692,6 @@ def test_memo_is_exact_under_concurrent_calls(default_scenario):
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
-
-
-def test_each_state_forms_its_prefactor_column_once():
-    scn = load_scenario(DBM_GAINS)
-    run_sweep(scn, EFFECTUAL, "hrc", False)
-    column = scn._memo[("prefactors", EFFECTUAL)]
-    # Each entry is _kappa_b with p_x as the state's probability, bit for bit.
-    assert column == tuple(
-        _kappa_b(scn.sensing._replace(p_inactive=p_x), scn.env, EFFECTUAL)
-        for p_x in scn.sweep_grid
-    )
-    for args in ALL_SERIES[1:]:
-        if args[0] == EFFECTUAL:
-            run_sweep(scn, *args)
-            assert scn._memo[("prefactors", EFFECTUAL)] is column
-    assert ("prefactors", INTERFERENCE) not in scn._memo
-    run_sweep(scn, INTERFERENCE, "hrc", False)
-    other = scn._memo[("prefactors", INTERFERENCE)]
-    assert other is not column and other != column
-    assert scn._memo[("prefactors", EFFECTUAL)] is column
 
 
 @pytest.mark.parametrize("scenario_kind", ["default", "dbm_gains"])
