@@ -507,6 +507,36 @@ def test_linearity_in_probability(p_x):
         assert half == full / 2.0
 
 
+_POWERS = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+_GAINS = st.floats(-16.0, -8.0).map(lambda e: 10.0**e)
+
+
+@given(
+    pairs=st.lists(st.tuples(_POWERS, _POWERS, _GAINS, _GAINS), min_size=1, max_size=6),
+    primary=st.none() | st.tuples(_POWERS, _GAINS),
+    device=st.sampled_from([HRC, MRC]),
+    k=st.integers(-60, 60),
+)
+def test_trading_power_for_gain_by_a_power_of_two_changes_no_bit(pairs, primary, device, k):
+    """Every power (the primary's too) times 2^k and every gain times 2^-k
+    leave each received power, and so the throughput, bit-identical."""
+    env = RadioEnvironment(bandwidth_hz=1e6, noise_psd_dbm_hz=-174.0, carrier_ghz=5.0)
+    s = sensing(p_inactive=0.5, p_active=0.5, p_false_alarm=0.1, p_detection=0.9)
+
+    def scaled(up):
+        def power(p):
+            return math.ldexp(p, up)
+
+        def gain(g):
+            return math.ldexp(g, -up)
+
+        link = None if primary is None else PrimaryLink(power(primary[0]), gain(primary[1]))
+        devices = [DevicePair(power(a), power(b), gain(c), gain(d)) for a, b, c, d in pairs]
+        return throughput(s, env, devices, device, link)
+
+    assert scaled(k) == scaled(0)
+
+
 @given(
     gains=st.lists(
         st.floats(min_value=1e-16, max_value=1e-9), min_size=1, max_size=6

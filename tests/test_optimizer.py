@@ -531,6 +531,34 @@ def test_numerical_argmax_is_bit_identical_to_reference_search(above_start):
         assert argmax > 1e6 or not above_start
 
 
+def _outcome(fn, *args):
+    """repr of fn(*args), so NaN fields compare equal, or its ValueError."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(
+    gain_exp=st.floats(-100.0, 10.0),
+    denom_exp=st.floats(-100.0, 10.0),
+    circuit=st.floats(1e-3, 1e3),
+    k=st.integers(-60, 60),
+)
+def test_scaling_gain_and_denominator_by_a_power_of_two_changes_no_bit(
+    gain_exp, denom_exp, circuit, k
+):
+    """g2 and D times 2^k, both staying normal: C*g2 - D scales by 2^k
+    exactly, so the Lambert argument, p* and every oracle probe's
+    p * g2 / D are unchanged, bit for bit."""
+    problem = OptProblem(10.0**gain_exp, 10.0**denom_exp, PowerOverheads(circuit, 0.0))
+    scaled = problem._replace(
+        gain=math.ldexp(problem.gain, k), denom_power_w=math.ldexp(problem.denom_power_w, k)
+    )
+    assert _outcome(optimal_power, scaled) == _outcome(optimal_power, problem)
+    assert _outcome(numerical_argmax, scaled) == _outcome(numerical_argmax, problem)
+
+
 @pytest.mark.parametrize("coupling", ["nominal", "cascaded"])
 @pytest.mark.parametrize("state", [EFFECTUAL, INTERFERENCE])
 def test_optimum_ee_is_energy_efficiency_of_throughput(default_scenario, state, coupling):
