@@ -91,6 +91,7 @@ def _sweep_csv(
         f"# device: {original.device}",
         f"# coupling: {optimized.coupling}",
         f"# infeasible_pairs: {len(optimized.infeasible_pairs)}",
+        f"# sic_violations: {optimized.sic_violations}",
         "# improvement_basis: energy_efficiency",
         "p_x,throughput_bps_original,throughput_bps_optimized,ee_original,ee_optimized,improvement_pct",
     ]

@@ -134,6 +134,7 @@ def test_sweep_csv_structure(tmp_path, default_scenario):
     assert any("scenario_hash" in line for line in meta)
     assert any("unit_mode: watt" in line for line in meta)
     assert any("infeasible_pairs: 0" in line for line in meta)
+    assert meta.index("# infeasible_pairs: 0") + 1 == meta.index("# sic_violations: 0")
     rows = data_rows(text)
     header, body = rows[0], rows[1:]
     assert header == (
@@ -142,6 +143,13 @@ def test_sweep_csv_structure(tmp_path, default_scenario):
     )
     assert len(body) == 101
     assert all(row.count(",") == 5 for row in body)
+
+
+def test_sweep_prints_the_optimized_series_sic_violations(capsys, monkeypatch):
+    monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
+    argv = ["sweep", "--state", "effectual", "--device", "mrc", "--coupling", "cascaded"]
+    assert main(argv) == 0
+    assert "\n# sic_violations: 5\n" in capsys.readouterr().out
 
 
 def test_sweep_is_byte_deterministic(tmp_path):
@@ -188,14 +196,14 @@ def test_sweep_to_stdout(capsys):
 # alters any output byte must say so and update both file and digest.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SWEEP_SHA256 = {
-    ("effectual", "hrc", "nominal"): "107c9b454972743375904465d785e40290315c77d0c14b5737b41716399b815a",
-    ("effectual", "hrc", "cascaded"): "14dbdf1700a55112764ea9bc2bee9f763b53238468b7e950491ea7df9f9ae381",
-    ("effectual", "mrc", "nominal"): "ca8b2f48f4f000f4cd2f6b041abb5a3d971efd19e6fca5f7971f40a1cde96852",
-    ("effectual", "mrc", "cascaded"): "af8780e992327400b26cd9db5e63f209d89706c720b3abb1d415c14785f2a93d",
-    ("interference", "hrc", "nominal"): "605a92e5ec0503ca0624fcc8e55cb56f5f8260a1890719c9744c86ecd9979a0d",
-    ("interference", "hrc", "cascaded"): "73c263ab118f85420dd36114202a65f09197a865a89a3e57005b172ba2250cef",
-    ("interference", "mrc", "nominal"): "eab10a08a2380ce0d91b7276d8111a7be5e3ac83076bcf41cc6676a8efd64239",
-    ("interference", "mrc", "cascaded"): "0038e4c63dc33e9b1243f7395629199e335a869dbd68eb6c07df764a26f46d51",
+    ("effectual", "hrc", "nominal"): "ec6d6302be41f8c6f01502c77e4cf3280e1f6b332dcef3ba7107e5ec3b65cb3d",
+    ("effectual", "hrc", "cascaded"): "7da1762aa556284d3b2d096e2518ef22294adb5aa4bcd317831b27b4f993d739",
+    ("effectual", "mrc", "nominal"): "942c59c500d818689b192b90019c473eb8784815739d08f99ef8985229cf8cef",
+    ("effectual", "mrc", "cascaded"): "927f6f17eb86b7c864ecebbea3cad1be8fbf6bc65a13f2f3043adceeb903e894",
+    ("interference", "hrc", "nominal"): "310ce0d0e8a461d6baa225ffe1c17ae804c76191e495fd92a1bb2fb0795e64fd",
+    ("interference", "hrc", "cascaded"): "45975a16d928699a944f5f3699ede24847144c429a7f8ccad5a722f8246373d7",
+    ("interference", "mrc", "nominal"): "bfc8b898fc07824e04a08bb634296fbed59002fb72ce0498b19a7fe15d0aa00a",
+    ("interference", "mrc", "cascaded"): "38dc6d7c3ab0510c752fccc38d241caf863c4afcacd5e4b0d81aa864d8cad94e",
 }
 GOLDEN_VALIDATE_SHA256 = "1f284f6fc3cc0732bcc0b87e0727b6b5de2da0028b7acaee44230944beefafa1"
 # (text stdout, --out CSV file) of `crnoma optimize` per (state, coupling).
