@@ -64,6 +64,8 @@ def test_branch_point_clamp_and_rejection():
     assert lambert_w0(BRANCH_POINT - 1e-13) == -1.0
     with pytest.raises(ValueError):
         lambert_w0(BRANCH_POINT - 1e-9)
+    with pytest.raises(ValueError):  # the documented slack is 1e-12
+        lambert_w0(BRANCH_POINT - 1.5e-12)
     # The clamp's edge is exact: the slack itself clamps, one ulp more raises.
     edge = BRANCH_POINT - lambertw._CLAMP_SLACK
     assert lambert_w0(edge) == -1.0

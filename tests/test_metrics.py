@@ -523,18 +523,18 @@ def test_trading_power_for_gain_by_a_power_of_two_changes_no_bit(pairs, primary,
     env = RadioEnvironment(bandwidth_hz=1e6, noise_psd_dbm_hz=-174.0, carrier_ghz=5.0)
     s = sensing(p_inactive=0.5, p_active=0.5, p_false_alarm=0.1, p_detection=0.9)
 
-    def scaled(up):
-        def power(p):
-            return math.ldexp(p, up)
-
-        def gain(g):
-            return math.ldexp(g, -up)
-
-        link = None if primary is None else PrimaryLink(power(primary[0]), gain(primary[1]))
-        devices = [DevicePair(power(a), power(b), gain(c), gain(d)) for a, b, c, d in pairs]
+    def traded(up):
+        ldexp = math.ldexp
+        devices = [
+            DevicePair(ldexp(a, up), ldexp(b, up), ldexp(c, -up), ldexp(d, -up))
+            for a, b, c, d in pairs
+        ]
+        link = None
+        if primary is not None:
+            link = PrimaryLink(ldexp(primary[0], up), ldexp(primary[1], -up))
         return throughput(s, env, devices, device, link)
 
-    assert scaled(k) == scaled(0)
+    assert traded(k) == traded(0)
 
 
 @given(
