@@ -58,17 +58,15 @@ def _load(scenario_path: Optional[str]) -> Scenario:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    import tempfile  # only --out needs it
-
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".crnoma-", suffix=".tmp")
+    tmp_path = os.path.join(directory, f".crnoma-{os.urandom(8).hex()}.tmp")
+    # O_EXCL makes the file new, and the kernel masks 0o666 with the umask as
+    # open() does; reading the umask would mean setting it, which unmasks
+    # files that other threads create meanwhile.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        # mkstemp creates the file owner-only; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -15,7 +15,7 @@ maximum, which has the closed form
 where W0 is the principal Lambert W branch.  All four device/state cases
 share this shape and differ only in D; ``metrics._gains_and_denominators``
 defines each pair's g2 and D for a device class.  ``optimal_power``,
-``ee_of_power`` and the golden-section check ``numerical_argmax`` work on
+``ee_of_power`` and the numerical oracle ``numerical_argmax`` work on
 the normalized curve kappa * b = 1; ``optimize_scenario`` reports each
 pair's EE scaled by the prefactor.
 """
@@ -56,6 +56,7 @@ __all__ = [
 
 COUPLINGS = ("nominal", "cascaded")
 
+_ORACLE_COARSE_WIDTH = 1e-4
 _ORACLE_REL_WIDTH = 1e-9
 _ORACLE_P_START_W = 1.0
 _ORACLE_P_CAP_W = 1e12
@@ -184,7 +185,8 @@ def optimal_power(
 
 
 def numerical_argmax(problem: OptProblem) -> float:
-    """Golden-section argmax of the single-device EE curve.
+    """Golden-section argmax of the single-device EE curve, sharpened by one
+    parabolic step.
 
     EE is unimodal in the transmit power (log over affine), so golden
     section applies.  The upper bracket starts at the SNR = 1 power
@@ -194,14 +196,26 @@ def numerical_argmax(problem: OptProblem) -> float:
     p* g2 / D >= e - 1, so D / g2 lies below it.  Near p g2 / D = 1e-16,
     log2(1 + p g2 / D) moves in ulp steps and EE(hi) < EE(hi / 2) proves
     nothing; at the first bracket's ends p g2 / D >= min(0.5, 5e11 g2 / D),
-    so that can happen only when D / g2 is far above 1e12 W.  Every
-    probe, the bracket's included, is evaluated inline (a call per probe
-    costs more than the arithmetic), in ``ee_of_power``'s operation order
-    but without its ``power_w >= 0`` check, which no probe in [0, hi] can
-    fail, and without its finiteness check: EE(hi) is finite once the
-    bracket is found, so p * gain / denom is finite at every probe and EE
-    stays below gain / (denom * ln 2).  Probes and result are therefore
-    bit-identical to a search over ``ee_of_power``;
+    so that can happen only when D / g2 is far above 1e12 W.
+
+    Golden section stops at a bracket 1e-4 of its upper end wide: EE is
+    flat at its maximum, so narrower brackets compare rounding noise and
+    pin p* only to about sqrt(eps) (Press et al., *Numerical Recipes*,
+    10.2).  A parabola through the final triple (a, c, d) when
+    EE(c) > EE(d), else (c, d, b), then gives the argmax (Brent 1973,
+    ch. 5; *Numerical Recipes*, 10.3).  Its vertex is returned only when
+    the middle point is highest, so the parabola is concave, its
+    denominator is nonzero, and the vertex lies strictly inside the
+    triple.  Otherwise the same golden section goes on to a bracket 1e-9
+    of its upper end wide and returns its midpoint.
+
+    Every probe, the bracket's included, is evaluated inline (a call per
+    probe costs more than the arithmetic), in ``ee_of_power``'s operation
+    order but without its ``power_w >= 0`` check, which no probe in
+    [0, hi] can fail, and without its finiteness check: EE(hi) is finite
+    once the bracket is found, so p * gain / denom is finite at every probe
+    and EE stays below gain / (denom * ln 2).  EE(0) is 0.  Probes and
+    result are therefore bit-identical to a search over ``ee_of_power``;
     ``test_numerical_argmax_is_bit_identical_to_reference_search`` pins this.
     """
     gain, denom, overheads = problem
@@ -224,8 +238,8 @@ def numerical_argmax(problem: OptProblem) -> float:
         f_hi = log2(1.0 + hi * gain / denom) / (hi + overhead)
 
     invphi = _INVPHI
-    rel_width = _ORACLE_REL_WIDTH
-    a, b = 0.0, hi
+    rel_width = _ORACLE_COARSE_WIDTH
+    a, b, fa, fb = 0.0, hi, 0.0, f_hi
     c = b - hi * invphi
     d = a + hi * invphi
     fc = log2(1.0 + c * gain / denom) / (c + overhead)
@@ -234,19 +248,35 @@ def numerical_argmax(problem: OptProblem) -> float:
     # stay in [0, hi] with hi <= 1e12, so each new probe is finite.  The
     # width b - a is taken once per step, and the stop limit only when b moves.
     width, limit = hi, rel_width * hi
-    while width > limit:
+    while True:
+        while width > limit:
+            if fc > fd:
+                b, fb, d, fd = d, fd, c, fc
+                width = b - a
+                limit = rel_width * b
+                c = b - width * invphi
+                fc = log2(1.0 + c * gain / denom) / (c + overhead)
+            else:
+                a, fa, c, fc = c, fc, d, fd
+                width = b - a
+                d = a + width * invphi
+                fd = log2(1.0 + d * gain / denom) / (d + overhead)
+        if rel_width == _ORACLE_REL_WIDTH:
+            return 0.5 * (a + b)
         if fc > fd:
-            b, d, fd = d, c, fc
-            width = b - a
-            limit = rel_width * b
-            c = b - width * invphi
-            fc = log2(1.0 + c * gain / denom) / (c + overhead)
+            x1, f1, x2, f2, x3, f3 = a, fa, c, fc, d, fd
         else:
-            a, c, fc = c, d, fd
-            width = b - a
-            d = a + width * invphi
-            fd = log2(1.0 + d * gain / denom) / (d + overhead)
-    return 0.5 * (a + b)
+            x1, f1, x2, f2, x3, f3 = c, fc, d, fd, b, fb
+        if f2 >= f1 and f2 >= f3:
+            # Both terms are >= 0 here; their sum is 0 on a flat triple or on underflow.
+            left = (x2 - x1) * (f2 - f3)
+            right = (x3 - x2) * (f2 - f1)
+            if left + right != 0.0:
+                vertex = x2 - 0.5 * ((x2 - x1) * left - (x3 - x2) * right) / (left + right)
+                if x1 < vertex < x3:
+                    return vertex
+        rel_width = _ORACLE_REL_WIDTH
+        limit = rel_width * b
 
 
 class ScenarioOptima(NamedTuple):

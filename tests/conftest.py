@@ -69,12 +69,19 @@ def make_scenario(
     )
 
 
-def reference_argmax(problem):
-    """Golden-section search over ee_of_power, written out step by step.
+def reference_argmax(problem, parabolic=True):
+    """Golden-section search over ee_of_power with one parabolic step,
+    written out step by step.
 
     The first bracket is D / g2 kept within [1 W, 1e12 W].  Each doubling
-    evaluates both EE(hi) and EE(hi / 2), so bit-equality with
-    ``numerical_argmax`` also shows that its reuse of EE(hi) is exact.
+    evaluates both EE(hi) and EE(hi / 2), and the bracket ends' EE values
+    are evaluated, not carried, so bit-equality with ``numerical_argmax``
+    also shows that its reuse of EE(hi) and its EE(0) = 0 are exact.
+    Golden section stops at a relative width of 1e-4 and returns the vertex
+    of the parabola through the final triple when the middle point is
+    highest, the denominator is nonzero and the vertex lies strictly inside
+    the triple; otherwise it goes on to 1e-9 and returns the midpoint.
+    With parabolic=False it is the plain 1e-9 golden-section search.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     hi = min(max(1.0, problem.denom_power_w / problem.gain), 1e12)
@@ -87,15 +94,27 @@ def reference_argmax(problem):
     d = a + (b - a) * invphi
     fc = ee_of_power(c, problem)
     fd = ee_of_power(d, problem)
-    while (b - a) > 1e-9 * max(abs(a), abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * invphi
-            fc = ee_of_power(c, problem)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * invphi
-            fd = ee_of_power(d, problem)
+    for rel_width in (1e-4, 1e-9) if parabolic else (1e-9,):
+        while (b - a) > rel_width * max(abs(a), abs(b)):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - (b - a) * invphi
+                fc = ee_of_power(c, problem)
+            else:
+                a, c, fc = c, d, fd
+                d = a + (b - a) * invphi
+                fd = ee_of_power(d, problem)
+        if rel_width == 1e-9:
+            break
+        x1, x2, x3 = (a, c, d) if fc > fd else (c, d, b)
+        f1, f2, f3 = (ee_of_power(x, problem) for x in (x1, x2, x3))
+        if f2 >= f1 and f2 >= f3:
+            left = (x2 - x1) * (f2 - f3)
+            right = (x3 - x2) * (f2 - f1)
+            if left + right != 0.0:
+                vertex = x2 - 0.5 * ((x2 - x1) * left - (x3 - x2) * right) / (left + right)
+                if x1 < vertex < x3:
+                    return vertex
     return 0.5 * (a + b)
 
 

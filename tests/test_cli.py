@@ -205,7 +205,7 @@ GOLDEN_SWEEP_SHA256 = {
     ("interference", "mrc", "nominal"): "bfc8b898fc07824e04a08bb634296fbed59002fb72ce0498b19a7fe15d0aa00a",
     ("interference", "mrc", "cascaded"): "38dc6d7c3ab0510c752fccc38d241caf863c4afcacd5e4b0d81aa864d8cad94e",
 }
-GOLDEN_VALIDATE_SHA256 = "1f284f6fc3cc0732bcc0b87e0727b6b5de2da0028b7acaee44230944beefafa1"
+GOLDEN_VALIDATE_SHA256 = "6ed5f046fef420978dbdd39c7b0e475195931162641b3c8162e421899177d087"
 # (text stdout, --out CSV file) of `crnoma optimize` per (state, coupling).
 GOLDEN_OPTIMIZE_SHA256 = {
     ("effectual", "nominal"): (
@@ -468,15 +468,15 @@ def test_non_utf8_scenario_file_is_config_error(tmp_path, capsys, prefix):
     )
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--state", "effectual", "--device", "hrc"],
-        ["optimize", "--state", "effectual"],
-        ["validate", "--trials", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# One invocation of each command that takes --out.
+OUT_COMMANDS = [
+    ["sweep", "--state", "effectual", "--device", "hrc"],
+    ["optimize", "--state", "effectual"],
+    ["validate", "--trials", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
 def test_empty_out_path_is_usage_error(capsys, argv):
     # "" used to count as no --out: the output went to stdout with exit 0.
     with pytest.raises(SystemExit) as exc:
@@ -522,6 +522,19 @@ def test_out_file_mode_follows_the_umask(tmp_path, umask, command):
     finally:
         os.umask(previous)
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_out_never_sets_the_umask(tmp_path, monkeypatch, argv):
+    # Setting the umask, even to restore it at once, leaves the files that
+    # other threads create in the meantime unmasked.
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") != ""
 
 
 # 50,000 levels crashed libyaml's recursive composer, so each case runs in
@@ -905,10 +918,13 @@ def test_overflowing_closed_form_power_is_named_domain_error(tmp_path, capsys, c
     problem = OptProblem(
         gain=1e-300, denom_power_w=1e8, overheads=PowerOverheads(circuit_w=1.5e308, sensing_w=0.0)
     )
+    message = (
+        "closed-form power overflows to inf: "
+        "C*g2 - D = 50000000.0, W0 = 0.157184951483814, g2 = 1e-300"
+    )
     with pytest.raises(ValueError) as err:
         optimal_power(problem)
-    assert str(err.value).startswith("closed-form power overflows to inf: C*g2 - D = 50000000.0, ")
-    assert str(err.value).endswith(", g2 = 1e-300")
+    assert str(err.value) == message
     # noise 50 dBm/Hz over 1 MHz is the same D = 1e8 W.
     text = _default_with(
         ("noise_psd_dbm_hz: -174.0", "noise_psd_dbm_hz: 50.0"),
@@ -919,9 +935,7 @@ def test_overflowing_closed_form_power_is_named_domain_error(tmp_path, capsys, c
         ("circuit_power: 99.0", "circuit_power: 1.5e+308"),
     )
     assert _probe_exit(tmp_path, text, command) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("domain error: closed-form power overflows to inf: C*g2 - D = ")
-    assert err.endswith(", g2 = 1e-300\n")
+    assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 # One pair at 1e10 / 1e-12 gains, a -3000 dBm/Hz noise PSD and no sensing power.
