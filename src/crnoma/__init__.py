@@ -4,7 +4,8 @@ Computes the per-state Shannon throughputs and energy efficiencies of
 paired high/moderate-reliability uplink devices under an intermittently
 active primary transmitter, and maximizes each device's energy efficiency
 in closed form via the principal Lambert W branch, cross-checked by an
-independent golden-section oracle with a parabolic last step.
+independent golden-section oracle in x = p * g2 / D, whose curve depends on
+C * g2 / D alone, with a parabolic last step.
 """
 
 from .lambertw import BRANCH_POINT, lambert_w0

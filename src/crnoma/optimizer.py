@@ -17,7 +17,9 @@ share this shape and differ only in D; ``metrics._gains_and_denominators``
 defines each pair's g2 and D for a device class.  ``optimal_power``,
 ``ee_of_power`` and the numerical oracle ``numerical_argmax`` work on
 the normalized curve kappa * b = 1; ``optimize_scenario`` reports each
-pair's EE scaled by the prefactor.
+pair's EE scaled by the prefactor.  In x = p * g2 / D the curve is
+(g2 / D) * log2(1 + x) / (x + a) with a = C * g2 / D, so its shape depends
+on a alone; the oracle searches x on the fixed bracket [0, max(a, 8)].
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ COUPLINGS = ("nominal", "cascaded")
 
 _ORACLE_COARSE_WIDTH = 1e-4
 _ORACLE_REL_WIDTH = 1e-9
-_ORACLE_P_START_W = 1.0
-_ORACLE_P_CAP_W = 1e12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_E = math.exp(-1.0)
 
@@ -188,95 +188,83 @@ def numerical_argmax(problem: OptProblem) -> float:
     """Golden-section argmax of the single-device EE curve, sharpened by one
     parabolic step.
 
-    EE is unimodal in the transmit power (log over affine), so golden
-    section applies.  The upper bracket starts at the SNR = 1 power
-    D / g2, kept within [1 W, 1e12 W], and doubles until EE is decreasing
-    there, capped at 1e12 W; each doubling evaluates EE once, at the new hi,
-    and reuses EE at the old hi as EE(hi / 2).  A closed-form optimum has
-    p* g2 / D >= e - 1, so D / g2 lies below it.  Near p g2 / D = 1e-16,
-    log2(1 + p g2 / D) moves in ulp steps and EE(hi) < EE(hi / 2) proves
-    nothing; at the first bracket's ends p g2 / D >= min(0.5, 5e11 g2 / D),
-    so that can happen only when D / g2 is far above 1e12 W.
+    With x = p * g2 / D and a = C * g2 / D, EE(p) is (g2 / D) * f(x) with
+    f(x) = log2(1 + x) / (x + a), so its shape depends on a alone.  The
+    search runs on f over the fixed bracket [0, max(a, 8)], which holds its
+    one maximum, and returns p = x * D / g2.
 
-    Golden section stops at a bracket 1e-4 of its upper end wide: EE is
+    Golden section stops at a bracket 1e-4 of its upper end wide: f is
     flat at its maximum, so narrower brackets compare rounding noise and
-    pin p* only to about sqrt(eps) (Press et al., *Numerical Recipes*,
-    10.2).  A parabola through the final triple (a, c, d) when
-    EE(c) > EE(d), else (c, d, b), then gives the argmax (Brent 1973,
+    pin x* only to about sqrt(eps) (Press et al., *Numerical Recipes*,
+    10.2).  A parabola through the final triple (lo, c, d) when
+    f(c) > f(d), else (c, d, hi), then gives the argmax (Brent 1973,
     ch. 5; *Numerical Recipes*, 10.3).  Its vertex is returned only when
     the middle point is highest, so the parabola is concave, its
     denominator is nonzero, and the vertex lies strictly inside the
     triple.  Otherwise the same golden section goes on to a bracket 1e-9
     of its upper end wide and returns its midpoint.
 
-    Every probe, the bracket's included, is evaluated inline (a call per
-    probe costs more than the arithmetic), in ``ee_of_power``'s operation
-    order but without its ``power_w >= 0`` check, which no probe in
-    [0, hi] can fail, and without its finiteness check: EE(hi) is finite
-    once the bracket is found, so p * gain / denom is finite at every probe
-    and EE stays below gain / (denom * ln 2).  EE(0) is 0.  Probes and
-    result are therefore bit-identical to a search over ``ee_of_power``;
-    ``test_numerical_argmax_is_bit_identical_to_reference_search`` pins this.
+    Every probe is evaluated inline (a call per probe costs more than the
+    arithmetic); f(0) is 0.  A ValueError names C*g2/D when a is 0 or
+    max(a, 8) + a overflows, and p when it overflows.
+    ``test_numerical_argmax_is_bit_identical_to_reference_search`` pins
+    probes and result against a search written out step by step.
     """
     gain, denom, overheads = problem
-    overhead = overheads.total_w
+    a = overheads.total_w * gain / denom
+    # f'(x) has the sign of g(x) = (x + a) / (1 + x) - ln(1 + x).  g(0) = a > 0,
+    # and g'(x) = -(a + x) / (1 + x)^2 < 0, so g falls strictly.  At m = max(a, 8),
+    # m + a <= 2m gives g(m) < 2 - ln 9 < 0.  So f rises to one maximum
+    # x* in (0, m) and falls after it: golden section can start on [0, m].
+    top = max(a, 8.0)
+    # At a = 0, f falls from x = 0 on; each probe forms x + a <= top + a.
+    if not (a > 0.0 and top + a < math.inf):
+        raise ValueError(f"C*g2/D = {a!r} must be > 0 with C*g2/D + max(C*g2/D, 8) finite")
     log2 = math.log2
-
-    hi = min(max(_ORACLE_P_START_W, denom / gain), _ORACLE_P_CAP_W)
-    half = hi * 0.5
-    f_half = log2(1.0 + half * gain / denom) / (half + overhead)
-    f_hi = log2(1.0 + hi * gain / denom) / (hi + overhead)
-    # Doubling is exact below the cap, so the old hi is the new hi / 2.
-    while f_hi >= f_half:
-        hi *= 2.0
-        if hi > _ORACLE_P_CAP_W:
-            raise ValueError(
-                "could not bracket a decreasing EE tail below "
-                f"{_ORACLE_P_CAP_W:.0e} W; problem appears unbounded"
-            )
-        f_half = f_hi
-        f_hi = log2(1.0 + hi * gain / denom) / (hi + overhead)
-
     invphi = _INVPHI
     rel_width = _ORACLE_COARSE_WIDTH
-    a, b, fa, fb = 0.0, hi, 0.0, f_hi
-    c = b - hi * invphi
-    d = a + hi * invphi
-    fc = log2(1.0 + c * gain / denom) / (c + overhead)
-    fd = log2(1.0 + d * gain / denom) / (d + overhead)
-    # 0 <= a <= b holds throughout, so b is max(abs(a), abs(b)).  Probes
-    # stay in [0, hi] with hi <= 1e12, so each new probe is finite.  The
-    # width b - a is taken once per step, and the stop limit only when b moves.
-    width, limit = hi, rel_width * hi
+    lo, hi, f_lo, f_hi = 0.0, top, 0.0, log2(1.0 + top) / (top + a)
+    c = hi - top * invphi
+    d = lo + top * invphi
+    fc = log2(1.0 + c) / (c + a)
+    fd = log2(1.0 + d) / (d + a)
+    # 0 <= lo <= hi holds throughout, so hi is max(abs(lo), abs(hi)).  The
+    # width hi - lo is taken once per step, and the stop limit only when hi moves.
+    width, limit = top, rel_width * top
     while True:
         while width > limit:
             if fc > fd:
-                b, fb, d, fd = d, fd, c, fc
-                width = b - a
-                limit = rel_width * b
-                c = b - width * invphi
-                fc = log2(1.0 + c * gain / denom) / (c + overhead)
+                hi, f_hi, d, fd = d, fd, c, fc
+                width = hi - lo
+                limit = rel_width * hi
+                c = hi - width * invphi
+                fc = log2(1.0 + c) / (c + a)
             else:
-                a, fa, c, fc = c, fc, d, fd
-                width = b - a
-                d = a + width * invphi
-                fd = log2(1.0 + d * gain / denom) / (d + overhead)
+                lo, f_lo, c, fc = c, fc, d, fd
+                width = hi - lo
+                d = lo + width * invphi
+                fd = log2(1.0 + d) / (d + a)
         if rel_width == _ORACLE_REL_WIDTH:
-            return 0.5 * (a + b)
+            x = 0.5 * (lo + hi)
+            break
         if fc > fd:
-            x1, f1, x2, f2, x3, f3 = a, fa, c, fc, d, fd
+            x1, f1, x2, f2, x3, f3 = lo, f_lo, c, fc, d, fd
         else:
-            x1, f1, x2, f2, x3, f3 = c, fc, d, fd, b, fb
+            x1, f1, x2, f2, x3, f3 = c, fc, d, fd, hi, f_hi
         if f2 >= f1 and f2 >= f3:
             # Both terms are >= 0 here; their sum is 0 on a flat triple or on underflow.
             left = (x2 - x1) * (f2 - f3)
             right = (x3 - x2) * (f2 - f1)
             if left + right != 0.0:
-                vertex = x2 - 0.5 * ((x2 - x1) * left - (x3 - x2) * right) / (left + right)
-                if x1 < vertex < x3:
-                    return vertex
+                x = x2 - 0.5 * ((x2 - x1) * left - (x3 - x2) * right) / (left + right)
+                if x1 < x < x3:
+                    break
         rel_width = _ORACLE_REL_WIDTH
-        limit = rel_width * b
+        limit = rel_width * hi
+    power = x * denom / gain
+    if power == math.inf:
+        raise ValueError(f"argmax power x*D/g2 overflows: x = {x!r}, D = {denom!r}, g2 = {gain!r}")
+    return power
 
 
 class ScenarioOptima(NamedTuple):

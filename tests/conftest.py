@@ -10,7 +10,6 @@ from crnoma import (
     RadioEnvironment,
     Scenario,
     SensingProfile,
-    ee_of_power,
     load_default_scenario,
 )
 
@@ -69,53 +68,63 @@ def make_scenario(
     )
 
 
-def reference_argmax(problem, parabolic=True):
-    """Golden-section search over ee_of_power with one parabolic step,
+def reference_argmax(problem, parabolic=True, log2=math.log2):
+    """Golden-section search in x = p * g2 / D with one parabolic step,
     written out step by step.
 
-    The first bracket is D / g2 kept within [1 W, 1e12 W].  Each doubling
-    evaluates both EE(hi) and EE(hi / 2), and the bracket ends' EE values
-    are evaluated, not carried, so bit-equality with ``numerical_argmax``
-    also shows that its reuse of EE(hi) and its EE(0) = 0 are exact.
-    Golden section stops at a relative width of 1e-4 and returns the vertex
-    of the parabola through the final triple when the middle point is
-    highest, the denominator is nonzero and the vertex lies strictly inside
-    the triple; otherwise it goes on to 1e-9 and returns the midpoint.
-    With parabolic=False it is the plain 1e-9 golden-section search.
+    The curve is f(x) = log2(1 + x) / (x + a) with a = C * g2 / D, searched
+    on [0, max(a, 8)] and mapped back as p = x * D / g2.  The bracket ends'
+    f values are evaluated, not carried, so bit-equality with
+    ``numerical_argmax`` also shows that its f(0) = 0 is exact.  Golden
+    section stops at a relative width of 1e-4 and returns the vertex of the
+    parabola through the final triple when the middle point is highest, the
+    denominator is nonzero and the vertex lies strictly inside the triple;
+    otherwise it goes on to 1e-9 and returns the midpoint.  With
+    parabolic=False it is the plain 1e-9 golden-section search.  A ValueError
+    stands for each of the oracle's range errors.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    hi = min(max(1.0, problem.denom_power_w / problem.gain), 1e12)
-    while ee_of_power(hi, problem) >= ee_of_power(hi * 0.5, problem):
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("unbounded")
-    a, b = 0.0, hi
-    c = b - (b - a) * invphi
-    d = a + (b - a) * invphi
-    fc = ee_of_power(c, problem)
-    fd = ee_of_power(d, problem)
+    a = problem.overheads.total_w * problem.gain / problem.denom_power_w
+    if not 0.0 < a or math.isinf(max(a, 8.0) + a):
+        raise ValueError("C*g2/D out of range")
+
+    def f(x):
+        return log2(1.0 + x) / (x + a)
+
+    lo, hi = 0.0, max(a, 8.0)
+    c = hi - (hi - lo) * invphi
+    d = lo + (hi - lo) * invphi
+    fc = f(c)
+    fd = f(d)
+    x = None
     for rel_width in (1e-4, 1e-9) if parabolic else (1e-9,):
-        while (b - a) > rel_width * max(abs(a), abs(b)):
+        while (hi - lo) > rel_width * max(abs(lo), abs(hi)):
             if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - (b - a) * invphi
-                fc = ee_of_power(c, problem)
+                hi, d, fd = d, c, fc
+                c = hi - (hi - lo) * invphi
+                fc = f(c)
             else:
-                a, c, fc = c, d, fd
-                d = a + (b - a) * invphi
-                fd = ee_of_power(d, problem)
+                lo, c, fc = c, d, fd
+                d = lo + (hi - lo) * invphi
+                fd = f(d)
         if rel_width == 1e-9:
             break
-        x1, x2, x3 = (a, c, d) if fc > fd else (c, d, b)
-        f1, f2, f3 = (ee_of_power(x, problem) for x in (x1, x2, x3))
+        x1, x2, x3 = (lo, c, d) if fc > fd else (c, d, hi)
+        f1, f2, f3 = f(x1), f(x2), f(x3)
         if f2 >= f1 and f2 >= f3:
             left = (x2 - x1) * (f2 - f3)
             right = (x3 - x2) * (f2 - f1)
             if left + right != 0.0:
                 vertex = x2 - 0.5 * ((x2 - x1) * left - (x3 - x2) * right) / (left + right)
                 if x1 < vertex < x3:
-                    return vertex
-    return 0.5 * (a + b)
+                    x = vertex
+                    break
+    if x is None:
+        x = 0.5 * (lo + hi)
+    power = x * problem.denom_power_w / problem.gain
+    if math.isinf(power):
+        raise ValueError("power overflows")
+    return power
 
 
 def reference_lambert_w0(x):

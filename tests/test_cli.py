@@ -205,7 +205,7 @@ GOLDEN_SWEEP_SHA256 = {
     ("interference", "mrc", "nominal"): "bfc8b898fc07824e04a08bb634296fbed59002fb72ce0498b19a7fe15d0aa00a",
     ("interference", "mrc", "cascaded"): "38dc6d7c3ab0510c752fccc38d241caf863c4afcacd5e4b0d81aa864d8cad94e",
 }
-GOLDEN_VALIDATE_SHA256 = "6ed5f046fef420978dbdd39c7b0e475195931162641b3c8162e421899177d087"
+GOLDEN_VALIDATE_SHA256 = "88353f01cee9e9e713e87343bd65d845605748fa8a8763c23ea8da6b98487119"
 # (text stdout, --out CSV file) of `crnoma optimize` per (state, coupling).
 GOLDEN_OPTIMIZE_SHA256 = {
     ("effectual", "nominal"): (
