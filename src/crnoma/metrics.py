@@ -377,7 +377,8 @@ def energy_efficiency(
 ) -> float:
     """Throughput over total consumed power (transmit + circuit + sensing)."""
     _check_nonnegative("throughput_bps", throughput_bps)
-    consumed = _consumed_power_w(tx_power_w, overheads)
+    _check_nonnegative("tx_power_w", tx_power_w)
+    consumed = tx_power_w + overheads.total_w
     ee = throughput_bps / consumed
     if ee == math.inf:
         raise _ee_overflow(throughput_bps, consumed)
@@ -393,29 +394,18 @@ def _ee_overflow(rate: float, consumed_w: float) -> ValueError:
     return ValueError(f"energy efficiency is not finite: {rate!r} over {consumed_w!r} W")
 
 
-def _consumed_power_w(tx_power_w: float, overheads: PowerOverheads) -> float:
-    """The energy-efficiency denominator tx + circuit + sensing, checked."""
-    _check_nonnegative("tx_power_w", tx_power_w)
-    return tx_power_w + overheads.total_w
-
-
 def improvement_percent(original: float, optimized: float) -> float:
     """Relative gain of an optimized value, in percent of the optimized value.
 
-    100 * (optimized - original) / optimized; this is the convention that
-    reproduces the reference improvement figures.  A percentage below the
-    float range raises.
+    100 * ((optimized - original) / optimized): the convention that reproduces
+    the reference improvement figures, divided first so that no finite
+    percentage overflows (at optimized = 1e307).  One below the float range raises.
     """
     _check_positive("optimized", optimized)
     _check_nonnegative("original", original)
-    change = optimized - original
-    percent = 100.0 * change / optimized
-    if abs(percent) == math.inf:
-        # 100 * change can overflow although the percentage is finite, e.g. at
-        # optimized = 1e307; dividing first avoids that product.
-        percent = 100.0 * (change / optimized)
-        if percent == -math.inf:
-            raise ValueError(
-                f"improvement of {optimized!r} over {original!r} overflows to -inf percent"
-            )
+    percent = 100.0 * ((optimized - original) / optimized)
+    if percent == -math.inf:
+        raise ValueError(
+            f"improvement of {optimized!r} over {original!r} overflows to -inf percent"
+        )
     return percent

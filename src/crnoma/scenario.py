@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-import sys
 from functools import cached_property, partial
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
@@ -32,7 +31,7 @@ from .metrics import (
     _check_probability,
     _check_state,
     _checked,
-    _consumed_power_w,
+    _FLOAT_MIN,
     _prefactor,
     _rate_sum,
     _scaled_rate_sum,
@@ -399,11 +398,10 @@ def load_scenario(text: str) -> Scenario:
             f"noise power must be finite and > 0 W, got {noise_w!r}",
         )
     # A subnormal noise power carries few bits and underflows products in the solver.
-    if noise_w < sys.float_info.min:
+    if noise_w < _FLOAT_MIN:
         raise ConfigError(
             "env.noise_psd_dbm_hz",
-            f"noise power {noise_w!r} W is below the smallest normal float "
-            f"{sys.float_info.min!r}",
+            f"noise power {noise_w!r} W is below the smallest normal float {_FLOAT_MIN!r}",
         )
 
     sens_t = _section(doc, "sensing")
@@ -631,8 +629,7 @@ def run_sweep(
     if tx_total == math.inf:
         raise ValueError(f"sum of the {n} pairs' {device} transmit powers overflows to inf")
     mean_tx = tx_total / n
-    # energy_efficiency's checks on the transmit power, once per series.
-    consumed = _consumed_power_w(mean_tx, scenario.overheads)
+    consumed = mean_tx + scenario.overheads.total_w
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
     _, kappa_b = _prefactor(scenario.sensing, scenario.env, state)

@@ -68,7 +68,7 @@ def make_scenario(
     )
 
 
-def reference_argmax(problem, parabolic=True, log2=math.log2):
+def reference_argmax(problem, log2=math.log2):
     """Golden-section search in x = p * g2 / D with one parabolic step,
     written out step by step.
 
@@ -79,9 +79,8 @@ def reference_argmax(problem, parabolic=True, log2=math.log2):
     section stops at a relative width of 1e-4 and returns the vertex of the
     parabola through the final triple when the middle point is highest, the
     denominator is nonzero and the vertex lies strictly inside the triple;
-    otherwise it goes on to 1e-9 and returns the midpoint.  With
-    parabolic=False it is the plain 1e-9 golden-section search.  A ValueError
-    stands for each of the oracle's range errors.
+    otherwise it returns the triple's middle point.  A ValueError stands for
+    each of the oracle's range errors.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a = problem.overheads.total_w * problem.gain / problem.denom_power_w
@@ -96,31 +95,25 @@ def reference_argmax(problem, parabolic=True, log2=math.log2):
     d = lo + (hi - lo) * invphi
     fc = f(c)
     fd = f(d)
-    x = None
-    for rel_width in (1e-4, 1e-9) if parabolic else (1e-9,):
-        while (hi - lo) > rel_width * max(abs(lo), abs(hi)):
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - (hi - lo) * invphi
-                fc = f(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + (hi - lo) * invphi
-                fd = f(d)
-        if rel_width == 1e-9:
-            break
-        x1, x2, x3 = (lo, c, d) if fc > fd else (c, d, hi)
-        f1, f2, f3 = f(x1), f(x2), f(x3)
-        if f2 >= f1 and f2 >= f3:
-            left = (x2 - x1) * (f2 - f3)
-            right = (x3 - x2) * (f2 - f1)
-            if left + right != 0.0:
-                vertex = x2 - 0.5 * ((x2 - x1) * left - (x3 - x2) * right) / (left + right)
-                if x1 < vertex < x3:
-                    x = vertex
-                    break
-    if x is None:
-        x = 0.5 * (lo + hi)
+    while (hi - lo) > 1e-4 * max(abs(lo), abs(hi)):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - (hi - lo) * invphi
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + (hi - lo) * invphi
+            fd = f(d)
+    x1, x2, x3 = (lo, c, d) if fc > fd else (c, d, hi)
+    f1, f2, f3 = f(x1), f(x2), f(x3)
+    x = x2
+    if f2 >= f1 and f2 >= f3:
+        left = (x2 - x1) * (f2 - f3)
+        right = (x3 - x2) * (f2 - f1)
+        if left + right != 0.0:
+            vertex = x2 - 0.5 * ((x2 - x1) * left - (x3 - x2) * right) / (left + right)
+            if x1 < vertex < x3:
+                x = vertex
     power = x * problem.denom_power_w / problem.gain
     if math.isinf(power):
         raise ValueError("power overflows")

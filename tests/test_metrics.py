@@ -1,7 +1,9 @@
 """Link metrics: throughputs, EE, improvement percentage."""
 
 import math
+import random
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -380,6 +382,25 @@ def test_improvement_is_finite_when_the_scaled_change_overflows():
     # 100 * (optimized - original) overflows; the percentage does not.
     assert improvement_percent(1.0, 1e307) == 100.0
     assert improvement_percent(0.0, 1.7976931348623157e308) == 100.0
+
+
+def test_improvement_is_within_two_ulps_of_the_exact_percentage():
+    # optimized log-uniform from 1e-300 to 1e307, original from 0 to 4 times
+    # it or log-uniform below it; 1e307 is where 100 * change would overflow.
+    # The reference is 100 * change / optimized in exact rationals, with
+    # change the float optimized - original.  When original is not within a
+    # factor 2 of optimized, that subtraction can round too, and against the
+    # exact percentage the worst error is then about 2.1 ulps.
+    rng = random.Random(7)
+    cases = [(1.0, 1e307), (0.0, 1e307), (3e307, 1e307), (1e-300, 1e-300), (2.5e-300, 1e-300)]
+    for _ in range(5000):
+        optimized = 10.0 ** rng.uniform(-300.0, 307.0)
+        ratio = rng.uniform(0.0, 4.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(-20.0, 0.0)
+        cases.append((optimized * ratio, optimized))
+    for original, optimized in cases:
+        exact = 100 * Fraction(optimized - original) / Fraction(optimized)
+        error = abs(Fraction(improvement_percent(original, optimized)) - exact)
+        assert error <= 2 * Fraction(math.ulp(float(exact))), (original, optimized)
 
 
 def test_improvement_below_the_float_range_raises():

@@ -250,22 +250,30 @@ def test_oracle_evaluation_count(default_scenario, monkeypatch):
 
 
 @pytest.mark.parametrize("values", [{}, {9.0: 1.0}], ids=["flat", "convex"])
-def test_rejected_parabola_falls_back_to_fine_golden_section(monkeypatch, values):
+def test_rejected_parabola_returns_the_middle_point(monkeypatch, values):
     """g2 = D = C = 1, so a = 1, the bracket is [0, 8] and f(x) is
     log2(1 + x) / (x + 1).  The patched log2 is 0 at every probe, so golden
     section walks up to hi = 8, and the final triple (c, d, hi) is flat, or
     convex when log2(9) is patched to 1 and f(8) is 1 / 9.  Either way the
-    vertex is rejected without dividing by zero, and the result is the
-    1e-9 golden-section search's."""
+    vertex is rejected without dividing by zero, and the result is x2 = d,
+    the triple's middle point, mapped back as x2 * D / g2."""
     problem = OptProblem(1.0, 1.0, PowerOverheads(1.0, 0.0))
 
     def patched(y):
         return values.get(y, 0.0)
 
+    # Every probe ties, so each step moves lo up to c, and c to d.
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, c, x2, hi = 0.0, 8.0 - 8.0 * invphi, 8.0 * invphi, 8.0
+    while hi - lo > 1e-4 * hi:
+        lo, c = c, x2
+        x2 = lo + (hi - lo) * invphi
+
     _patch_log2(monkeypatch, patched)
     argmax = numerical_argmax(problem)
-    assert argmax == reference_argmax(problem, parabolic=False, log2=patched)
-    assert 8.0 - 8e-9 < argmax < 8.0
+    assert argmax == reference_argmax(problem, log2=patched)
+    assert argmax == x2 * problem.denom_power_w / problem.gain
+    assert 8.0 - 1e-3 < argmax < 8.0
 
 
 def _subnormal_gain_problems():
