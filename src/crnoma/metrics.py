@@ -380,16 +380,19 @@ def energy_efficiency(
     _check_nonnegative("tx_power_w", tx_power_w)
     consumed = tx_power_w + overheads.total_w
     ee = throughput_bps / consumed
-    if ee == math.inf:
+    # An inf consumed power would make the EE 0.0.
+    if ee == math.inf or consumed == math.inf:
         raise _ee_overflow(throughput_bps, consumed)
     return ee
 
 
 def _ee_overflow(rate: float, consumed_w: float) -> ValueError:
-    """The error for an EE quotient that is not finite.
+    """The error for an EE quotient that is not finite, or whose consumed
+    power overflows.
 
     The rate overflows at a huge S/D, the quotient at a tiny consumed power,
-    and the quotient is NaN when both rate and consumed power are inf.
+    and the quotient is NaN when both rate and consumed power are inf.  A
+    consumed power that overflows alone would give a false EE of 0.0.
     """
     return ValueError(f"energy efficiency is not finite: {rate!r} over {consumed_w!r} W")
 

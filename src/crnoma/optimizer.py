@@ -17,7 +17,9 @@ share this shape and differ only in D; ``metrics._gains_and_denominators``
 defines each pair's g2 and D for a device class.  ``optimal_power``,
 ``ee_of_power`` and the numerical oracle ``numerical_argmax`` work on
 the normalized curve kappa * b = 1; ``optimize_scenario`` reports each
-pair's EE scaled by the prefactor.  In x = p * g2 / D the curve is
+pair's EE scaled by the prefactor.  It solves each (g2, D) column in one
+loop, ``_closed_forms``, with ``lambert_w0``'s Halley steps inline and bit
+for bit ``_closed_form``'s results.  In x = p * g2 / D the curve is
 (g2 / D) * log2(1 + x) / (x + a) with a = C * g2 / D, so its shape depends
 on a alone; the oracle searches x on the fixed bracket [0, max(a, 8)].
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
+from . import lambertw
 from .lambertw import lambert_w0
 from .metrics import (
     HRC,
@@ -106,7 +109,8 @@ def ee_of_power(power_w: float, problem: OptProblem) -> float:
     rate = math.log2(1.0 + power_w * gain / denom)
     consumed = power_w + overheads.total_w
     ee = rate / consumed
-    if not ee < math.inf:
+    # An inf consumed power would make the EE 0.0.
+    if not ee < math.inf or consumed == math.inf:
         raise _ee_overflow(rate, consumed)
     return ee
 
@@ -121,9 +125,11 @@ def _closed_form(
 ) -> OptResult:
     """The Lambert-W stationary power for gain g2, denominator d, overheads c.
 
-    The one place the closed form and its infeasibility branches are
-    written; EE at the optimum is ``p_state * (kappa_b * rate) / (p + c)``,
-    in ``throughput`` and ``energy_efficiency``'s operation order.
+    The one place its infeasibility reasons and errors are written;
+    ``_closed_forms`` repeats only the common path of feasible rows and
+    sends every other row here.  EE at the optimum is
+    ``p_state * (kappa_b * rate) / (p + c)``, in ``throughput`` and
+    ``energy_efficiency``'s operation order; it raises when p + c overflows.
     """
     numerator = c * g2 - d
     arg = (numerator / d) * _INV_E
@@ -157,10 +163,64 @@ def _closed_form(
     # The rate at p_x = 1 is what an error names: an inf there raises even
     # at p_state = 0, where the EE is 0 * inf = NaN, as ``throughput`` does.
     rate = kappa_b * math.log2(1.0 + power * g2 / d)
-    ee = p_state * rate / (power + c)
-    if not ee < math.inf:
-        raise _ee_overflow(rate, power + c)
+    consumed = power + c
+    ee = p_state * rate / consumed
+    # p* + C can overflow even where p* is finite; the EE would then be 0.0.
+    if not ee < math.inf or consumed == math.inf:
+        raise _ee_overflow(rate, consumed)
     return OptResult(power, ee, True, arg)
+
+
+def _closed_forms(
+    gains: Sequence[float], denoms: Sequence[float], c: float, p_state: float, kappa_b: float
+) -> Tuple[OptResult, ...]:
+    """``_closed_form(g2, d, c, p_state, kappa_b, lambert_w0)`` over a
+    column of (g2, D), bit for bit, with ``lambert_w0`` inline.
+
+    A row whose Lambert argument lies in (0, ``lambertw._ASYMPTOTIC_CUTOFF``]
+    runs ``lambert_w0``'s log1p start and Halley loop in its operation
+    order, with the ``lambertw`` constants read at call time.  Every other
+    row goes to ``_closed_form``, as does one whose loop does not converge,
+    whose power is not finite and > 0, or whose EE or consumed power is not
+    finite, so each infeasible reason and error is written once.
+    """
+    unit_tol = lambertw._RESIDUAL_TOL
+    iterations = range(lambertw._MAX_ITER)
+    cutoff = lambertw._ASYMPTOTIC_CUTOFF
+    exp, log1p, log2 = math.exp, math.log1p, math.log2
+    inf = math.inf
+    new = tuple.__new__
+    results = []
+    append = results.append
+    for g2, d in zip(gains, denoms):
+        numerator = c * g2 - d
+        arg = (numerator / d) * _INV_E
+        # As d > 0, arg > 0 implies numerator > 0.
+        if 0.0 < arg <= cutoff:
+            w = log1p(arg)
+            tol = unit_tol * arg if arg > 1.0 else unit_tol
+            for _ in iterations:
+                ew = exp(w)
+                residual = w * ew - arg
+                if -tol <= residual <= tol:
+                    break
+                wp1 = w + 1.0
+                w -= residual / (ew * wp1 - (w + 2.0) * residual / (2.0 * wp1))
+                if w < -1.0:
+                    w = -1.0 + 1e-16
+            else:
+                # A NaN power sends the row to _closed_form, whose lambert_w0 raises.
+                w = math.nan
+            power = (numerator / w - d) / g2
+            if 0.0 < power < inf:
+                rate = kappa_b * log2(1.0 + power * g2 / d)
+                consumed = power + c
+                ee = p_state * rate / consumed
+                if ee < inf and consumed < inf:
+                    append(new(OptResult, (power, ee, True, arg, "")))
+                    continue
+        append(_closed_form(g2, d, c, p_state, kappa_b, lambert_w0))
+    return tuple(results)
 
 
 def optimal_power(
@@ -305,9 +365,7 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     pairs = scenario.pairs
 
     def solve(gains, denoms):
-        return tuple(
-            [_closed_form(g, d, overhead, p_x, kappa_b, lambert_w0) for g, d in zip(gains, denoms)]
-        )
+        return _closed_forms(gains, denoms, overhead, p_x, kappa_b)
 
     hrc = memo.get(state)
     if hrc is None:

@@ -31,6 +31,7 @@ from .metrics import (
     _check_probability,
     _check_state,
     _checked,
+    _ee_overflow,
     _FLOAT_MIN,
     _prefactor,
     _rate_sum,
@@ -603,7 +604,7 @@ def run_sweep(
         optima = optimize_scenario(scenario, state, coupling)
         coupled = _coupled_hrc_powers(pairs, optima.hrc, coupling)
         # No DevicePair is built for the optimized powers, and none needs
-        # its checks: _closed_form marks a result feasible only if its power
+        # its checks: _closed_forms marks a result feasible only if its power
         # is finite and > 0, and every other power is a validated nominal one.
         # A feasible pair takes the coupled HRC power, then the device's own
         # optimum (``ScenarioOptima`` names its fields by device), which in an
@@ -651,6 +652,9 @@ def run_sweep(
             raise ValueError(
                 f"{device} energy efficiency overflows to inf: {peak!r} bps over {consumed!r} W"
             )
+    # An inf consumed power would make every EE 0.0.
+    if consumed == math.inf:
+        raise _ee_overflow(max(throughputs), consumed)
 
     return SweepSeries(
         state=state,

@@ -957,6 +957,24 @@ def test_overflowing_optimum_ee_is_named_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("domain error: energy efficiency is not finite: ")
 
 
+def test_overflowing_consumed_power_is_named_domain_error(tmp_path, capsys):
+    # One pair whose nominal HRC power plus the 1e308 W overhead overflows:
+    # every EE of the series would read 0.0 beside a finite throughput.
+    text = _default_with(
+        ("hrc_power: 0.7", "hrc_power: 1.0e+308"),
+        ("circuit_power: 99.0", "circuit_power: 1.0e+308"),
+        ("hrc_distances_m: [1200.0, 1400.0, 1600.0, 1800.0, 2000.0]", "hrc_gains: [1.0e-300]"),
+        ("mrc_distances_m: [1300.0, 1500.0, 1700.0, 1900.0, 2000.0]", "mrc_gains: [1.0e-300]"),
+    )
+    scenario = crnoma.scenario.load_scenario(text)
+    with pytest.raises(ValueError) as err:
+        crnoma.scenario.run_sweep(scenario, "effectual", "hrc", False)
+    message = "energy efficiency is not finite: 33485035.19646461 over inf W"
+    assert str(err.value) == message
+    assert _probe_exit(tmp_path, text) == 3
+    assert capsys.readouterr().err == f"domain error: {message}\n"
+
+
 def test_improvement_column_is_finite_at_a_huge_optimized_ee(tmp_path, capsys):
     # The optimized EE is about 8e306, so 100 * (optimized - original) overflows.
     text = _default_with(*TINY_NOISE_EDITS, ("circuit_power: 99.0", "circuit_power: 1.0e-300"))

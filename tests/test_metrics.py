@@ -415,6 +415,13 @@ def test_overflowing_energy_efficiency_raises():
     assert str(err.value) == "energy efficiency is not finite: 10000000000.0 over 1e-300 W"
 
 
+def test_energy_efficiency_raises_when_consumed_power_overflows():
+    # 1e308 W transmit plus 1e308 W overhead is inf, so the quotient alone would read 0.0.
+    with pytest.raises(ValueError) as err:
+        energy_efficiency(1e6, 1e308, PowerOverheads(circuit_w=1e308, sensing_w=0.0))
+    assert str(err.value) == "energy efficiency is not finite: 1000000.0 over inf W"
+
+
 def test_improvement_errors():
     with pytest.raises(ValueError):
         improvement_percent(1.0, 0.0)

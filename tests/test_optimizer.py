@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+import crnoma.lambertw
 import crnoma.optimizer
 import crnoma.validation
 from crnoma import (
@@ -19,6 +20,7 @@ from crnoma import (
     SensingProfile,
     ee_of_power,
     energy_efficiency,
+    lambert_w0,
     numerical_argmax,
     optimal_power,
     optimize_scenario,
@@ -78,6 +80,31 @@ def test_overflowing_ee_of_power_raises():
     with pytest.raises(ValueError) as err:
         ee_of_power(1.0, problem)
     assert str(err.value) == "energy efficiency is not finite: inf over 2.0 W"
+
+
+def test_ee_of_power_raises_when_consumed_power_overflows():
+    # p + C overflows to inf, so the quotient alone would read 0.0.
+    problem = OptProblem(gain=1.0, denom_power_w=1.0, overheads=PowerOverheads(1e308, 0.0))
+    with pytest.raises(ValueError) as err:
+        ee_of_power(1e308, problem)
+    assert str(err.value) == "energy efficiency is not finite: 1023.1538532253076 over inf W"
+
+
+# p* = 8.03e307 W is finite, but p* + C overflows to inf.
+CONSUMED_OVERFLOW_PROBLEM = OptProblem(
+    2.75077180509033e-106, 1.0868711942289995e201, PowerOverheads(1.775550945005923e308, 0.0)
+)
+
+
+def test_closed_form_raises_when_consumed_power_overflows():
+    message = "energy efficiency is not finite: 4.4147088597341755 over inf W"
+    with pytest.raises(ValueError) as err:
+        optimal_power(CONSUMED_OVERFLOW_PROBLEM)
+    assert str(err.value) == message
+    gain, denom, overheads = CONSUMED_OVERFLOW_PROBLEM
+    with pytest.raises(ValueError) as err:
+        crnoma.optimizer._closed_forms([gain], [denom], overheads.total_w, 1.0, 1.0)
+    assert str(err.value) == message
 
 
 def test_ee_of_power_zero_prefactor(default_scenario):
@@ -606,6 +633,58 @@ def test_optimize_scenario_is_bit_identical_to_per_pair_path(
             assert optimal_power(problem).ee_bps_per_watt == ee_of_power(got.power_w, problem)
     if kind == "mixed_feasibility":
         assert 0 < feasible < len(hrc + mrc)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closed_forms_is_bit_identical_to_closed_form_on_log_uniform_columns(seed):
+    """Each row of ``_closed_forms``, alone and within its column, is
+    ``_closed_form`` with ``lambert_w0`` bit for bit, or raises its error.
+
+    g2, D, C and K are drawn from 1e-300 to 1e300, so rows reach the
+    infeasible branch, the asymptotic Lambert branch, a Lambert argument
+    that overflows and an EE that is not finite.
+    """
+    closed_form, closed_forms = crnoma.optimizer._closed_form, crnoma.optimizer._closed_forms
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(100):
+        c, kappa_b = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        p_state = rng.random()
+        rows = [tuple(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2)) for _ in range(20)]
+        solved = []
+        for g2, d in rows:
+            expected = _outcome(closed_form, g2, d, c, p_state, kappa_b, lambert_w0)
+            got = _outcome(lambda: closed_forms([g2], [d], c, p_state, kappa_b)[0])
+            assert got == expected
+            if expected.startswith("ValueError: "):
+                seen.add(expected[len("ValueError: ") :].split(":")[0])
+                continue
+            result = closed_form(g2, d, c, p_state, kappa_b, lambert_w0)
+            seen.add("asymptotic" if result.lambert_arg > 1e50 else result.reason)
+            solved.append((g2, d, expected))
+        gains, denoms = [g2 for g2, _, _ in solved], [d for _, d, _ in solved]
+        column = closed_forms(gains, denoms, c, p_state, kappa_b)
+        assert [repr(r) for r in column] == [expected for _, _, expected in solved]
+    assert seen == {
+        "",
+        "asymptotic",
+        "overhead-driven term C*g2 does not exceed the denominator power",
+        "Lambert argument (C*g2 - D) / (e*D) overflows to inf",
+        "energy efficiency is not finite",
+    }
+
+
+def test_optimize_scenario_raises_lambert_w0s_own_non_convergence_error(
+    default_scenario, monkeypatch
+):
+    arg = optimize_scenario(default_scenario, EFFECTUAL).hrc[0].lambert_arg
+    monkeypatch.setattr(crnoma.lambertw, "_MAX_ITER", 1)
+    with pytest.raises(ValueError) as expected:
+        lambert_w0(arg)
+    assert str(expected.value) == f"lambert_w0({arg!r}) did not converge in 1 iterations"
+    with pytest.raises(ValueError) as err:
+        optimize_scenario(default_scenario._replace(), EFFECTUAL)
+    assert str(err.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("log_uniform", [False, True])

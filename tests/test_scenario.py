@@ -22,7 +22,6 @@ from crnoma import (
     ScenarioOptima,
     dbm_to_watt,
     energy_efficiency,
-    lambert_w0,
     load_scenario,
     optimize_scenario,
     pathloss_average_db,
@@ -631,12 +630,13 @@ def test_failed_optimization_is_not_cached(default_scenario):
 
 def test_each_closed_form_is_solved_once_per_scenario(monkeypatch):
     calls = []
+    closed_forms = crnoma.optimizer._closed_forms
 
-    def counting_lambert_w0(x):
-        calls.append(x)
-        return lambert_w0(x)
+    def counting_closed_forms(gains, denoms, *args):
+        calls.extend(zip(gains, denoms))
+        return closed_forms(gains, denoms, *args)
 
-    monkeypatch.setattr(crnoma.optimizer, "lambert_w0", counting_lambert_w0)
+    monkeypatch.setattr(crnoma.optimizer, "_closed_forms", counting_closed_forms)
     scn = make_scenario(
         hrc_gains=(1e-13, 5e-14, 2e-13), mrc_gains=(8e-14, 4e-14, 1e-13), primary_gain=1.5e-15
     )
@@ -645,10 +645,9 @@ def test_each_closed_form_is_solved_once_per_scenario(monkeypatch):
         for s in (EFFECTUAL, INTERFERENCE)
         for c in ("nominal", "cascaded")
     ]
-    # Every optimum is feasible, so each solve reaches lambert_w0 once.
     assert all(r.feasible for o in optima for r in o.hrc + o.mrc)
     n = len(scn.pairs)
-    # HRC once per state, MRC once per state and coupling.
+    # Rows solved: HRC once per state, MRC once per state and coupling.
     assert len(calls) == 2 * n + 2 * 2 * n
     # The sweeps in the benchmark's order reuse those solves.
     for state in (EFFECTUAL, INTERFERENCE):
