@@ -40,6 +40,7 @@ def golden_outputs():
                 argv = ["sweep", "--state", state, "--device", device, "--coupling", coupling]
                 yield f"sweep_{state}_{device}_{coupling}.csv", _stdout(argv)
     yield "validate.txt", _stdout(["validate", "--trials", "1000", "--seed", "0"])
+    yield "validate_trials8000_seed7.txt", _stdout(["validate", "--trials", "8000", "--seed", "7"])
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "optima.csv"
         for state in STATES:

@@ -206,6 +206,8 @@ GOLDEN_SWEEP_SHA256 = {
     ("interference", "mrc", "cascaded"): "38dc6d7c3ab0510c752fccc38d241caf863c4afcacd5e4b0d81aa864d8cad94e",
 }
 GOLDEN_VALIDATE_SHA256 = "88353f01cee9e9e713e87343bd65d845605748fa8a8763c23ea8da6b98487119"
+# `validate` at the 8,000 trials of one `validate_oracle` benchmark op.
+GOLDEN_VALIDATE_8000_SHA256 = "479fa86557e396a6e1c18d225e8fac8e2e854e0f12641b809d9c4a8b12a165e8"
 # (text stdout, --out CSV file) of `crnoma optimize` per (state, coupling).
 GOLDEN_OPTIMIZE_SHA256 = {
     ("effectual", "nominal"): (
@@ -232,6 +234,7 @@ def _golden_files():
     for (state, device, coupling), digest in GOLDEN_SWEEP_SHA256.items():
         yield f"sweep_{state}_{device}_{coupling}.csv", digest
     yield "validate.txt", GOLDEN_VALIDATE_SHA256
+    yield "validate_trials8000_seed7.txt", GOLDEN_VALIDATE_8000_SHA256
     for (state, coupling), (text, csv) in GOLDEN_OPTIMIZE_SHA256.items():
         yield f"optimize_{state}_{coupling}.txt", text
         yield f"optimize_{state}_{coupling}.csv", csv
@@ -284,6 +287,12 @@ def test_validate_bytes_are_golden(capsys, monkeypatch):
     monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
     argv = ["validate", "--trials", "1000", "--seed", "0"]
     _assert_golden("validate.txt", _stdout_bytes(capsys, argv))
+
+
+def test_validate_bytes_at_benchmark_trials_are_golden(capsys, monkeypatch):
+    monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
+    argv = ["validate", "--trials", "8000", "--seed", "7"]
+    _assert_golden("validate_trials8000_seed7.txt", _stdout_bytes(capsys, argv))
 
 
 @pytest.mark.parametrize("state, coupling", list(GOLDEN_OPTIMIZE_SHA256))
