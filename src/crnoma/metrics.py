@@ -90,6 +90,13 @@ def _checked(cls):
     and ``copy`` and ``pickle`` rebuild through ``__new__`` already.  The
     parameters are explicit because a ``*args, **kwargs`` wrapper is about
     twice as slow, and records are built once per pair or per oracle draw.
+
+    For the same reason the records built per pair or per draw
+    (``DevicePair``, ``PowerOverheads``, ``OptProblem``) and ``Scenario``'s
+    grid compare each value inline and call the named ``_check_*`` helper
+    only when the comparison fails: the helper raises its own message, the
+    checks run in field order, and a valid build makes no call.  The inline
+    comparison must fail on every value the helper rejects, NaN included.
     """
     args = ", ".join(cls._fields)
     namespace = {"_tuple_new": tuple.__new__}
@@ -175,10 +182,15 @@ class DevicePair(NamedTuple):
     mrc_gain: float
 
     def __post_init__(self) -> None:
-        _check_nonnegative("hrc_power_w", self.hrc_power_w)
-        _check_nonnegative("mrc_power_w", self.mrc_power_w)
-        _check_positive("hrc_gain", self.hrc_gain)
-        _check_positive("mrc_gain", self.mrc_gain)
+        hrc_power_w, mrc_power_w, hrc_gain, mrc_gain = self
+        if not 0.0 <= hrc_power_w < math.inf:
+            _check_nonnegative("hrc_power_w", hrc_power_w)
+        if not 0.0 <= mrc_power_w < math.inf:
+            _check_nonnegative("mrc_power_w", mrc_power_w)
+        if not 0.0 < hrc_gain < math.inf:
+            _check_positive("hrc_gain", hrc_gain)
+        if not 0.0 < mrc_gain < math.inf:
+            _check_positive("mrc_gain", mrc_gain)
 
     def sic_ordering_ok(self) -> bool:
         """Whether the received HRC power exceeds the paired MRC power.
@@ -222,9 +234,12 @@ class PowerOverheads(NamedTuple):
     sensing_w: float
 
     def __post_init__(self) -> None:
-        _check_nonnegative("circuit_w", self.circuit_w)
-        _check_nonnegative("sensing_w", self.sensing_w)
-        total = self.circuit_w + self.sensing_w
+        circuit_w, sensing_w = self
+        if not 0.0 <= circuit_w < math.inf:
+            _check_nonnegative("circuit_w", circuit_w)
+        if not 0.0 <= sensing_w < math.inf:
+            _check_nonnegative("sensing_w", sensing_w)
+        total = circuit_w + sensing_w
         if total <= 0.0:
             raise ValueError("circuit_w + sensing_w must be > 0")
         if total == math.inf:

@@ -35,6 +35,7 @@ from .metrics import (
     HRC,
     INTERFERENCE,
     MRC,
+    _FLOAT_MIN,
     DevicePair,
     PowerOverheads,
     _base_denominator_w,
@@ -78,10 +79,13 @@ class OptProblem(NamedTuple):
     overheads: PowerOverheads
 
     def __post_init__(self) -> None:
-        _check_positive("gain", self.gain)
+        gain, denom_power_w, _ = self
+        if not 0.0 < gain < math.inf:
+            _check_positive("gain", gain)
         # A subnormal D carries few bits, and C*g2 - D is then formed on the
         # subnormal grid, so the closed form would return a wrong finite p*.
-        _check_normal("denom_power_w", self.denom_power_w)
+        if not _FLOAT_MIN <= denom_power_w < math.inf:
+            _check_normal("denom_power_w", denom_power_w)
 
 
 class OptResult(NamedTuple):
@@ -285,14 +289,18 @@ def numerical_argmax(problem: OptProblem) -> float:
     # width hi - lo is taken once per step, and the stop limit only when hi moves.
     width, limit = top, rel_width * top
     while width > limit:
+        # f_hi (f_lo) is assigned apart so that the shift is a 3-name swap,
+        # which CPython does on the stack; a 4-name one builds and unpacks a tuple.
         if fc > fd:
-            hi, f_hi, d, fd = d, fd, c, fc
+            f_hi = fd
+            hi, d, fd = d, c, fc
             width = hi - lo
             limit = rel_width * hi
             c = hi - width * invphi
             fc = log2(1.0 + c) / (c + a)
         else:
-            lo, f_lo, c, fc = c, fc, d, fd
+            f_lo = fc
+            lo, c, fc = c, d, fd
             width = hi - lo
             d = lo + width * invphi
             fd = log2(1.0 + d) / (d + a)

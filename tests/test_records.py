@@ -123,10 +123,57 @@ CHECKED = {
     ),
 }
 
+# The records built per oracle draw and per pair check each field inline
+# and call the named check only to raise: each numeric field's bound, and
+# the message for NaN, inf and the largest negative float against it.
+FIELD_BOUNDS = {
+    OptProblem: {"gain": "> 0", "denom_power_w": "> 0"},
+    PowerOverheads: {"circuit_w": ">= 0", "sensing_w": ">= 0"},
+    DevicePair: {
+        "hrc_power_w": ">= 0",
+        "mrc_power_w": ">= 0",
+        "hrc_gain": "> 0",
+        "mrc_gain": "> 0",
+    },
+}
+BAD_VALUES = [
+    (cls, {field: value}, f"{field} must be {bound}, got {value!r}")
+    for cls, bounds in FIELD_BOUNDS.items()
+    for field, bound in bounds.items()
+    for value in (math.nan, math.inf, -5e-324)
+] + [
+    # With two bad fields, the first field's message wins.
+    (OptProblem, {"gain": -1.0, "denom_power_w": math.nan}, "gain must be > 0, got -1.0"),
+    (
+        OptProblem,
+        {"gain": math.inf, "denom_power_w": 5e-324},
+        "gain must be > 0, got inf",
+    ),
+    (
+        PowerOverheads,
+        {"circuit_w": math.nan, "sensing_w": -1.0},
+        "circuit_w must be >= 0, got nan",
+    ),
+    (
+        DevicePair,
+        {"mrc_power_w": math.inf, "hrc_gain": math.nan},
+        "mrc_power_w must be >= 0, got inf",
+    ),
+    (DevicePair, {"hrc_gain": 0.0, "mrc_gain": -1.0}, "hrc_gain must be > 0, got 0.0"),
+]
+
 CASES = [
     pytest.param(cls, change, message, id=f"{cls.__name__}-{'-'.join(change)}")
     for cls, (_, invalid) in CHECKED.items()
     for change, message in invalid
+] + [
+    pytest.param(
+        cls,
+        change,
+        message,
+        id=f"{cls.__name__}-" + "-".join(f"{k}={v!r}" for k, v in change.items()),
+    )
+    for cls, change, message in BAD_VALUES
 ]
 
 # Each checked record's TypeError texts for a call with no arguments and for

@@ -2,11 +2,12 @@
 
 import functools
 import math
+import random
 
 import pytest
 
 import crnoma.validation
-from crnoma import OptResult, lambert_w0, optimal_power, run_validation
+from crnoma import OptResult, ee_of_power, lambert_w0, optimal_power, run_validation
 from conftest import reference_argmax
 
 
@@ -84,3 +85,43 @@ def test_exhausted_draws_fail_both_closed_form_checks(default_scenario, monkeypa
 def test_trials_must_be_positive(default_scenario):
     with pytest.raises(ValueError):
         run_validation(default_scenario, trials=0)
+
+
+def _drawn_problems(monkeypatch, seed, count):
+    """The first ``count`` problems the closed-form check draws for a seed."""
+    drawn = []
+
+    def recorded(problem):
+        drawn.append(problem)
+        return optimal_power(problem)
+
+    monkeypatch.setattr(crnoma.validation, "optimal_power", recorded)
+    # About 1.4 draws per feasible trial.
+    crnoma.validation._check_closed_form(random.Random(seed), count * 3 // 4)
+    assert len(drawn) >= count
+    return drawn[:count]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_trial_draws_are_rng_uniform_draws(monkeypatch, seed):
+    # The check writes rng.uniform(lo, hi) out as lo + (hi - lo) * rng.random().
+    drawn = _drawn_problems(monkeypatch, seed, 10_000)
+    rng = random.Random(seed)
+    for problem in drawn:
+        gain = 10.0 ** rng.uniform(-16.0, 0.0)
+        denom = 10.0 ** rng.uniform(-18.0, -2.0)
+        circuit = rng.uniform(1.0, 200.0)
+        assert problem == (gain, denom, (circuit, 0.0))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_optimum_ee_is_ee_of_power_at_the_optimum(monkeypatch, seed):
+    # The stationarity check divides by the optimum's own EE in place of a
+    # third ee_of_power call.
+    feasible = 0
+    for problem in _drawn_problems(monkeypatch, seed, 10_000):
+        result = optimal_power(problem)
+        if result.feasible:
+            feasible += 1
+            assert result.ee_bps_per_watt == ee_of_power(result.power_w, problem)
+    assert feasible > 7_000
