@@ -295,6 +295,38 @@ def test_validate_bytes_at_benchmark_trials_are_golden(capsys, monkeypatch):
     _assert_golden("validate_trials8000_seed7.txt", _stdout_bytes(capsys, argv))
 
 
+# `crnoma sweep` of the bundled scenario at sweep.step 0.0001: the 10,001
+# p_x rows of one `sweep_dense` benchmark series. Only the digests are kept
+# (each CSV is about 1 MB); tests/golden/regenerate.py prints them.
+DENSE_SWEEP_SHA256 = {
+    ("effectual", "hrc", "nominal"): "3c7cea9ebee952a6e70a72477d64a7402e994b3676f728a63902b6a96cfd1ba5",
+    ("effectual", "hrc", "cascaded"): "764219307436eeabe586d220092a8446b4436ae59653ba02ef2473bd7449efc0",
+    ("effectual", "mrc", "nominal"): "85a3fe9333bca5c2f2af02b7a5c398f1326010ecc890e14bdb1c3c5f96082929",
+    ("effectual", "mrc", "cascaded"): "a69e797e0bf96380a465749c048f47c035319d90ee374e39d7eae928362a8f68",
+    ("interference", "hrc", "nominal"): "6b0b0a8e4d208a118052e5acfa4f98bb94e7a26e09a05443d3c5adee55e6cd4c",
+    ("interference", "hrc", "cascaded"): "0b3c5d98f12f5ef9c30c4ff755491f899fbbb8ac0d350261b3cec6a04f94a4f2",
+    ("interference", "mrc", "nominal"): "6bd114dd179f4fc256a7e85aa51fcbd5b07d2b2f05580bf6120bb76d443ff138",
+    ("interference", "mrc", "cascaded"): "1f42b566323fd447b56d1bf94661a95de5d0bd15fc2b28f3a553a4dec269a9aa",
+}
+
+
+@pytest.fixture(scope="module")
+def dense_scenario(tmp_path_factory):
+    text = crnoma.scenario.default_scenario_text()
+    assert text.count("step: 0.01\n") == 1
+    path = tmp_path_factory.mktemp("dense") / "dense.yaml"
+    path.write_text(text.replace("step: 0.01\n", "step: 0.0001\n"), "utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("state, device, coupling", list(DENSE_SWEEP_SHA256))
+def test_dense_sweep_bytes_match_their_digest(capsys, dense_scenario, state, device, coupling):
+    argv = ["sweep", dense_scenario, "--state", state, "--device", device, "--coupling", coupling]
+    out = _stdout_bytes(capsys, argv)
+    assert len(data_rows(out.decode("utf-8"))) == 1 + 10_001
+    assert hashlib.sha256(out).hexdigest() == DENSE_SWEEP_SHA256[state, device, coupling]
+
+
 @pytest.mark.parametrize("state, coupling", list(GOLDEN_OPTIMIZE_SHA256))
 def test_optimize_bytes_are_golden(tmp_path, capsys, monkeypatch, state, coupling):
     monkeypatch.delenv("CRNOMA_SCENARIO", raising=False)
