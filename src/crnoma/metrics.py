@@ -284,7 +284,8 @@ def _prefactor(sensing: SensingProfile, env: RadioEnvironment, state: str) -> Tu
 
     Each throughput is p_x * (K * rate sum) (``_scaled_rate_sum``).  Taking
     p_x last lets ``run_sweep`` form K * rate sum once per series, and each
-    of its rows is still ``throughput(...) / n`` bit for bit.
+    of its rows, divided by the pair count as an exact float, is still
+    ``throughput(...) / n`` bit for bit.
     """
     if state == EFFECTUAL:
         p_state, miss = sensing.p_inactive, 1.0 - sensing.p_false_alarm

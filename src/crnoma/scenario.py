@@ -584,7 +584,8 @@ def run_sweep(
     Throughput is linear in p_x, so the pairs' Shannon rates are summed and
     scaled by K = duty * miss * b once per series (``_scaled_rate_sum``),
     and each row costs one product and one division in ``throughput``'s
-    operation order, p_x * (K * rate sum) / n: each throughput row equals
+    operation order, p_x * (K * rate sum) / n, with n the pair count as a
+    float (exact, so the quotient is the same): each throughput row equals
     ``throughput(sensing with p_x, ...) / n`` bit for bit.  When K * rate
     sum overflows, the series raises ``throughput``'s ValueError, whatever
     the grid.  The series is stored as columns, so no per-point record is
@@ -621,15 +622,19 @@ def run_sweep(
             ):
                 sic_violations += 1
 
-    # A plain running sum, as in ``_rate_sum``.
     n = len(pairs)
+    # Every division by the pair count below uses this float, one rule for
+    # all three: any n below 2**53 converts to a double exactly, so x / count
+    # is the correctly rounded x / n, bit for bit.
+    count = float(n)
+    # A plain running sum, as in ``_rate_sum``.
     tx_total = 0.0
     for power in powers:
         tx_total += power
     # Each power is finite, so only their sum can reach inf.
     if tx_total == math.inf:
         raise ValueError(f"sum of the {n} pairs' {device} transmit powers overflows to inf")
-    mean_tx = tx_total / n
+    mean_tx = tx_total / count
     consumed = mean_tx + scenario.overheads.total_w
 
     base = _base_denominator_w(scenario.env, scenario.primary if state == INTERFERENCE else None)
@@ -641,12 +646,14 @@ def run_sweep(
     # energy_efficiency's check that throughput is >= 0 holds by
     # construction: duty lies in (0, 1], p_x (checked by Scenario) and miss
     # in [0, 1], bandwidth is > 0, and each rate is log2(1 + S / D) with
-    # S >= 0 and D > 0.
-    throughputs = [p_x * scaled / n for p_x in grid]
+    # S >= 0 and D > 0.  The divisor is ``count``, not n: CPython has no
+    # fast path for a float divided by an int and converts the int on every
+    # row, and count == n exactly, so every row is unchanged.
+    throughputs = [p_x * scaled / count for p_x in grid]
     # Every p_x is at most 1, so every row is at most scaled / n and every
     # EE at most that over ``consumed``; only when that bound overflows is
     # the largest row checked.
-    if scaled / n / consumed == math.inf:
+    if scaled / count / consumed == math.inf:
         peak = max(throughputs)
         if peak / consumed == math.inf:
             raise ValueError(

@@ -4,12 +4,14 @@ import copy
 import math
 import random
 import re
+import struct
 import sys
 import threading
 import warnings
 
 import pytest
 import yaml
+from hypothesis import example, given, strategies as st
 
 import crnoma.optimizer
 import crnoma.scenario
@@ -447,14 +449,35 @@ def _reference_points(scn, state, device, pairs):
         yield mean, energy_efficiency(mean, mean_tx, scn.overheads)
 
 
+def _default_with_pairs(n):
+    """The default scenario cut to its first n device pairs, its distance
+    lists taken twice over so that n may exceed their 5."""
+    data = yaml.safe_load(default_scenario_text())
+    devices = data["devices"]
+    for key in ("hrc_distances_m", "mrc_distances_m"):
+        devices[key] = (devices[key] * 2)[:n]
+    return load_scenario(yaml.safe_dump(data))
+
+
+# Each sweep row divides by the pair count n; with these and dbm_gains'
+# three pairs the test below covers n = 1, 3, 5 and 7.
+SLICED_DEFAULTS = {"default_1_pair": 1, "default_3_pairs": 3, "default_7_pairs": 7}
+
+
 @pytest.mark.parametrize("state, device, optimized, coupling", ALL_SERIES)
-@pytest.mark.parametrize("scenario_kind", ["default", "dbm_gains"])
+@pytest.mark.parametrize("scenario_kind", ["default", "dbm_gains", *SLICED_DEFAULTS])
 def test_sweep_is_bit_identical_to_per_pair_path(
     default_scenario, scenario_kind, state, device, optimized, coupling
 ):
     """Every row is ``throughput()`` over the series' pairs at that p_x,
     divided by n, and its EE is ``energy_efficiency`` of that, bit for bit."""
-    scn = default_scenario if scenario_kind == "default" else load_scenario(DBM_GAINS)
+    if scenario_kind == "default":
+        scn = default_scenario
+    elif scenario_kind == "dbm_gains":
+        scn = load_scenario(DBM_GAINS)
+    else:
+        scn = _default_with_pairs(SLICED_DEFAULTS[scenario_kind])
+        assert len(scn.pairs) == SLICED_DEFAULTS[scenario_kind]
     series = run_sweep(scn, state, device, optimized, coupling)
     pairs = _reference_pairs(scn, state, device, optimized, coupling)
     expected = list(_reference_points(scn, state, device, pairs))
@@ -465,6 +488,22 @@ def test_sweep_is_bit_identical_to_per_pair_path(
     for point, (mean, ee) in zip(series.points, expected):
         assert point.throughput_bps == mean
         assert point.ee_bps_per_watt == ee
+
+
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    n=st.integers(min_value=1, max_value=2**53),
+)
+@example(x=5e-324, n=3)
+@example(x=-0.0, n=7)
+@example(x=sys.float_info.min, n=2**53 - 1)
+@example(x=sys.float_info.max, n=1)
+@example(x=-sys.float_info.max, n=2**53)
+def test_dividing_by_an_int_or_by_its_float_gives_the_same_double(x, n):
+    # run_sweep divides by float(n) in place of the int pair count n. Any
+    # n <= 2**53 converts to a double exactly, so both are the one
+    # correctly rounded quotient.
+    assert struct.pack("<d", x / n) == struct.pack("<d", x / float(n))
 
 
 @pytest.mark.parametrize("state, device, optimized, coupling", SERIES)
