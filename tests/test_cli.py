@@ -4,6 +4,7 @@ import contextlib
 import copy
 import difflib
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -325,6 +326,82 @@ def test_dense_sweep_bytes_match_their_digest(capsys, dense_scenario, state, dev
     out = _stdout_bytes(capsys, argv)
     assert len(data_rows(out.decode("utf-8"))) == 1 + 10_001
     assert hashlib.sha256(out).hexdigest() == DENSE_SWEEP_SHA256[state, device, coupling]
+
+
+def _regenerate_module():
+    spec = importlib.util.spec_from_file_location("regenerate", GOLDEN_DIR / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The outputs for tests/golden/regenerate.py's seeded 3,000-pair scenario,
+# the `scenario_wide` benchmark shape (one p_x, about 2% of the distances
+# outside the pathloss model's range), under each combine rule: its notes,
+# its `crnoma optimize --out` tables and its one-point sweep CSVs. Only the
+# digests are kept; regenerate.py prints them.
+WIDE_SHA256 = {
+    "wide db notes": "880d6cf3a8f9f76c88c11c358375e9fc9e725ca1cf07c6e205628d44d89de1d6",
+    "wide db optimize effectual nominal": "875029552684ce161b3674cf2e4c72005d5bcf9ed8b306636c9e569e120ed1c0",
+    "wide db optimize effectual cascaded": "5a71636fc5c1499a50491acc348d840efa8837b4dbbde65fd168fae6cc830e87",
+    "wide db optimize interference nominal": "1ee18f064b1eb5e6636d453bbdb3348e53a4970d05f7d8d8704ea36971590a77",
+    "wide db optimize interference cascaded": "94dd80c7230ae1a124794f7cd58e1631665fe84e72d0d5274015c6613e9afd5e",
+    "wide db sweep effectual hrc nominal": "ab9eb390255b5f1723e848dad6cc6389470162682321cf61596dc3747953acff",
+    "wide db sweep effectual hrc cascaded": "6f76f40e39119a0938d8c39772070e74269c7054f6fb5fd33237674d78730e4f",
+    "wide db sweep effectual mrc nominal": "de5d29688a4c9229396db1741a41fe6dcd9a9632d9638207a452fa7481efb1b0",
+    "wide db sweep effectual mrc cascaded": "cd47cc0f8b62a4d5a73c5bc39c73e29f4d67c40dfe62050a2ac608fd72cb8810",
+    "wide db sweep interference hrc nominal": "f54927b3d762b0a26eff3c8b0bf7846221c021be93a72d3af5c22f858b5dc574",
+    "wide db sweep interference hrc cascaded": "fcacffae6e1f0e7889b5b549ff6c1c5889ce5883ee1d5e1939ee675d9148f263",
+    "wide db sweep interference mrc nominal": "29e7eb1db20487c4d6774e4ec1078105313fe13d8181b0023effb2a142c73482",
+    "wide db sweep interference mrc cascaded": "e4c6e57fce65371506c8d35f3767414fb83e5da27d2e36099f60b8903a13d521",
+    "wide linear notes": "5c0b40ec2fa13446286c7adde3f83601ca60219345ff269a3b9db1c663ce00ee",
+    "wide linear optimize effectual nominal": "c21b32aa0bfa031053af69c6d3678d9c941ac13296115f6d4ebc37362dcb5a1b",
+    "wide linear optimize effectual cascaded": "aacb9cd1c3e901fc63a1448ae7e624356951d5039ce8aaab98f0a27dcf5dd909",
+    "wide linear optimize interference nominal": "523b1dbddd134906fcb21674973f83bae326a857912c50029aa55fbc1bf398ff",
+    "wide linear optimize interference cascaded": "bb4bf03b35b555a9f3805746dd7223bec7eb5fae1dad72c4ea2a73debf8c9a53",
+    "wide linear sweep effectual hrc nominal": "3511cbf7b178bbc0ba076542cf2c8bf6002c74d1b62370e025ac5637f87a1b3b",
+    "wide linear sweep effectual hrc cascaded": "e214022f52fbbc707ebab7a837d3c0243275219227833fb8fbbc42e0dc65b26f",
+    "wide linear sweep effectual mrc nominal": "5337e42a71d5af26a0bc48dc8bf6a0b5b6435703bb3517bcf0138c91662fcbed",
+    "wide linear sweep effectual mrc cascaded": "d309408153ad623d1a51f6ec3cded2a69a407cb3b8bd08557f1b6b76430ac62b",
+    "wide linear sweep interference hrc nominal": "48c61dd7cc922cefbb2d4494982b3928e8821d230ed3422b947c58e1b9b773ad",
+    "wide linear sweep interference hrc cascaded": "bd30028c2868645f7a0d1c5978cb50b10fddbff4ce3be8e2342413d92fdd253a",
+    "wide linear sweep interference mrc nominal": "6d8d967b612289a59ed25684a5528e91a93c34b8a8c940abfcb8b204b3ad91bb",
+    "wide linear sweep interference mrc cascaded": "29a03806b3cf875cf305a90d5a5213ca8934dd8bc40ee9e2dc71dfb21050e118",
+}
+
+
+@pytest.fixture(scope="module")
+def wide_scenarios(tmp_path_factory):
+    regenerate = _regenerate_module()
+    directory = tmp_path_factory.mktemp("wide")
+    paths = {}
+    for combine in regenerate.COMBINES:
+        path = directory / f"wide_{combine}.yaml"
+        path.write_text(regenerate.wide_scenario_text(combine), "utf-8")
+        paths[combine] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("name", list(WIDE_SHA256))
+def test_wide_outputs_match_their_digest(tmp_path, capsys, wide_scenarios, name):
+    _, combine, command, *args = name.split()
+    path = wide_scenarios[combine]
+    if command == "notes":
+        notes = crnoma.scenario.load_scenario_file(path).notes
+        data = "".join(f"{note}\n" for note in notes).encode("utf-8")
+    elif command == "optimize":
+        state, coupling = args
+        out = tmp_path / "optima.csv"
+        argv = ["optimize", path, "--state", state, "--coupling", coupling, "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"wrote 6000 rows to {out}\n"
+        data = out.read_bytes()
+    else:
+        state, device, coupling = args
+        argv = ["sweep", path, "--state", state, "--device", device, "--coupling", coupling]
+        data = _stdout_bytes(capsys, argv)
+        assert len(data_rows(data.decode("utf-8"))) == 1 + 1
+    assert hashlib.sha256(data).hexdigest() == WIDE_SHA256[name]
 
 
 @pytest.mark.parametrize("state, coupling", list(GOLDEN_OPTIMIZE_SHA256))
