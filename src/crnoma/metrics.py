@@ -10,8 +10,10 @@ throughput in bits/second, energy efficiency in bits/second/watt.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
+from contextlib import contextmanager
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .units import noise_power_w
@@ -77,6 +79,25 @@ def _check_state(state: str) -> None:
 def _check_device(device: str) -> None:
     if device not in DEVICES:
         raise ValueError(f"device must be one of {DEVICES}, got {device!r}")
+
+
+@contextmanager
+def _gc_paused():
+    """Pause CPython's cyclic garbage collector for the block, as ``timeit`` does.
+
+    A wide scenario builds tens of thousands of objects that cannot form a
+    cycle (YAML nodes, ``DevicePair`` and ``OptResult`` tuples), and every
+    few hundred allocations the collector walks them all again.  It is
+    re-enabled on exit, also when the block raises, only if it was enabled
+    on entry, so a caller's ``gc.disable()`` holds.  No value depends on it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _checked(cls):

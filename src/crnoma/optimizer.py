@@ -46,6 +46,7 @@ from .metrics import (
     _checked,
     _ee_overflow,
     _gains_and_denominators,
+    _gc_paused,
     _prefactor,
 )
 
@@ -187,6 +188,9 @@ def _closed_forms(
     row goes to ``_closed_form``, as does one whose loop does not converge,
     whose power is not finite and > 0, or whose EE or consumed power is not
     finite, so each infeasible reason and error is written once.
+    ``lambert_w0``'s clamp of an iterate below -1 is left out: the log1p
+    start lies above W(arg) > 0, as (1 + x) ln(1 + x) >= x, and no iterate
+    from it falls to 0 or below.
     """
     unit_tol = lambertw._RESIDUAL_TOL
     iterations = range(lambertw._MAX_ITER)
@@ -210,8 +214,6 @@ def _closed_forms(
                     break
                 wp1 = w + 1.0
                 w -= residual / (ew * wp1 - (w + 2.0) * residual / (2.0 * wp1))
-                if w < -1.0:
-                    w = -1.0 + 1e-16
             else:
                 # A NaN power sends the row to _closed_form, whose lambert_w0 raises.
                 w = math.nan
@@ -356,6 +358,9 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     same scenario return the same ``ScenarioOptima``.  The HRC optima do
     not depend on the coupling, so both couplings of a state share them.
     A call that raises caches nothing and raises again when repeated.
+    The cyclic garbage collector is paused while the columns are solved
+    (``metrics._gc_paused``): it is left enabled or disabled as it was
+    found, also when the call raises, and no value depends on it.
     """
     _check_state(state)
     _check_coupling(coupling)
@@ -375,9 +380,10 @@ def optimize_scenario(scenario, state: str, coupling: str = "nominal") -> Scenar
     def solve(gains, denoms):
         return _closed_forms(gains, denoms, overhead, p_x, kappa_b)
 
-    hrc = memo.get(state)
-    if hrc is None:
-        hrc = memo.setdefault(state, solve(*_gains_and_denominators(HRC, base, pairs)))
-    coupled = _coupled_hrc_powers(pairs, hrc, coupling)
-    mrc = solve(*_gains_and_denominators(MRC, base, pairs, coupled))
+    with _gc_paused():
+        hrc = memo.get(state)
+        if hrc is None:
+            hrc = memo.setdefault(state, solve(*_gains_and_denominators(HRC, base, pairs)))
+        coupled = _coupled_hrc_powers(pairs, hrc, coupling)
+        mrc = solve(*_gains_and_denominators(MRC, base, pairs, coupled))
     return memo.setdefault((state, coupling), ScenarioOptima(hrc=hrc, mrc=mrc))

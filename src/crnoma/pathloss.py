@@ -94,8 +94,11 @@ def pathloss_average_db(
             f"los_probability must lie in [0, 1], got {los_probability!r}"
         )
     # Validated and each logarithm taken once; the terms are those of
-    # pathloss_los_db and pathloss_nlos_db, bit for bit.
-    _validate(distance_m, carrier_ghz)
+    # pathloss_los_db and pathloss_nlos_db, bit for bit.  The comparisons
+    # fail on every value _validate rejects, NaN included, so a valid call
+    # makes no call to it (one per pair in a wide scenario).
+    if not (0.0 < distance_m < math.inf and 0.0 < carrier_ghz < math.inf):
+        _validate(distance_m, carrier_ghz)
     log_d = math.log10(distance_m)
     log_f = math.log10(carrier_ghz)
     los = _los_db(log_d, log_f)

@@ -33,6 +33,7 @@ from .metrics import (
     _checked,
     _ee_overflow,
     _FLOAT_MIN,
+    _gc_paused,
     _prefactor,
     _rate_sum,
     _scaled_rate_sum,
@@ -76,9 +77,41 @@ _KEYS = {
     "overheads": "circuit_power sensing_power".split(),
 }
 
-# libyaml's loader when PyYAML was built with it: the same SafeConstructor
-# and Resolver as SafeLoader, so the same document, parsed about 10x faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The tags whose SafeConstructor constructor builds a scalar and returns it;
+# the others build a collection through a generator.  Each of these reads
+# its node with construct_scalar first, so on a collection node it raises
+# the error construct_object would.
+_SCALAR_TAGS = frozenset(
+    "tag:yaml.org,2002:" + name for name in "null bool int float str binary timestamp".split()
+)
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's loader when PyYAML was built with it, else SafeLoader.
+
+    libyaml's has the same SafeConstructor and Resolver as SafeLoader, so it
+    builds the same document, parsed about 10x faster.  A sequence builds
+    each item tagged as a scalar with the constructor registered for its
+    tag, skipping ``construct_object``'s per-node alias cache and recursion
+    guard, which cost more than the constructor on a list of numbers: a
+    scalar holds no node, so it cannot recurse, and an alias to it builds
+    an equal value.  Any other item goes through ``construct_object``.
+    """
+
+    def construct_sequence(self, node, deep=False):
+        if not isinstance(node, yaml.SequenceNode):
+            return super().construct_sequence(node, deep)
+        constructors = self.yaml_constructors
+        construct_object = self.construct_object
+        return [
+            constructors[child.tag](self, child)
+            if child.tag in _SCALAR_TAGS
+            else construct_object(child, deep=deep)
+            for child in node.value
+        ]
+
+
+_YAML_LOADER = _Loader
 
 # Deepest collection nesting a document may have; a valid scenario has 3.
 # Both loaders compose a document recursively: libyaml's crashes the
@@ -278,6 +311,8 @@ def _section(doc: Mapping, name: str, optional: bool = False) -> Mapping:
 
 
 def _coerce_number(value) -> float:
+    if type(value) is float:
+        return value
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {_SHORT.repr(value)}")
     if isinstance(value, (int, float)):
@@ -366,8 +401,15 @@ def _nests_deeper_than(text: str, limit: int) -> bool:
     return False
 
 
+@_gc_paused()
 def load_scenario(text: str) -> Scenario:
-    """Parse and validate a YAML scenario document."""
+    """Parse and validate a YAML scenario document.
+
+    The cyclic garbage collector is paused while the document is parsed and
+    its records are built (``metrics._gc_paused``): it is left enabled or
+    disabled as it was found, also when the load raises, and no value
+    depends on it.
+    """
     # PyYAML's constructors raise a plain ValueError for some scalars, such as
     # an integer literal over Python's int-to-str digit limit.
     try:

@@ -674,6 +674,38 @@ def test_closed_forms_is_bit_identical_to_closed_form_on_log_uniform_columns(see
     }
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closed_forms_halley_iterates_stay_positive(monkeypatch, seed):
+    """``_closed_forms`` has no clamp of an iterate below -1, as none falls to 0.
+
+    Each row's Lambert argument (C*g2/D - 1) / e is log-uniform from about
+    1e-16, the least a column forms, to the 1e50 cutoff, with D log-uniform
+    in 1e-100..1e100.  Every iterate passes through ``math.exp``, which
+    ``_closed_forms`` reads at call time.
+    """
+    rng = random.Random(seed)
+    gains, denoms = [], []
+    for _ in range(20_000):
+        d = 10.0 ** rng.uniform(-100.0, 100.0)
+        gains.append(d * (1.0 + 10.0 ** rng.uniform(-15.5, 50.4)))
+        denoms.append(d)
+    iterates = []
+    exp = math.exp
+
+    def recording_exp(w):
+        iterates.append(w)
+        return exp(w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "exp", recording_exp)
+        results = crnoma.optimizer._closed_forms(gains, denoms, 1.0, 1.0, 1.0)
+    args = [r.lambert_arg for r in results]
+    assert min(args) < 1e-15 and 1e49 < max(args) <= crnoma.lambertw._ASYMPTOTIC_CUTOFF
+    assert all(r.feasible for r in results)
+    assert len(iterates) >= len(results)
+    assert min(iterates) > 0.0
+
+
 def test_optimize_scenario_raises_lambert_w0s_own_non_convergence_error(
     default_scenario, monkeypatch
 ):

@@ -1,6 +1,7 @@
 """Scenario loading, validation diagnostics, and sweeps."""
 
 import copy
+import gc
 import math
 import random
 import re
@@ -13,6 +14,7 @@ import pytest
 import yaml
 from hypothesis import example, given, strategies as st
 
+import crnoma.lambertw
 import crnoma.optimizer
 import crnoma.scenario
 
@@ -806,20 +808,197 @@ def test_libyaml_loader_builds_the_same_scenario(monkeypatch, kind):
         "dbm_unsigned": DBM_UNSIGNED,
         "wide_300": _wide_document(),
     }[kind]
-    assert crnoma.scenario._YAML_LOADER is yaml.CSafeLoader
+    assert issubclass(crnoma.scenario._YAML_LOADER, yaml.CSafeLoader)
     fast = yaml.load(text, Loader=yaml.CSafeLoader)
     assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=crnoma.scenario._YAML_LOADER) == fast
     if kind == "dbm_unsigned":
         assert fast["env"]["bandwidth_hz"] == "1.0e6"
         assert fast["overheads"]["circuit_power"] == "4.9e1"
 
-    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", yaml.SafeLoader)
     expected = load_scenario(text)
-    monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", yaml.CSafeLoader)
-    assert load_scenario(text) == expected
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(crnoma.scenario, "_YAML_LOADER", loader)
+        assert load_scenario(text) == expected
     if kind == "wide_300":
         assert len(expected.pairs) == 300
         assert any("outside" in note for note in expected.notes)
+
+
+# Documents on which the scenario loader must build what a stock safe loader
+# builds, or raise the same error.  Sequences of scalars take the loader's
+# direct path; everything else goes through construct_object.
+LOADER_DOCUMENTS = {
+    "scalar_aliases": "a: &x 1.5\nb: [*x, *x, 2, &y 3, *y]\nc: *y\n",
+    "sequence_aliases": "s: &s [1, 2.5, x]\nt: *s\nu: [*s, *s, [*s]]\n",
+    "self_nesting": "r: &a [*a, 1]\n",
+    "merge_keys": "b: &b {k: 1, l: [1, 2]}\nm: {<<: *b, k: 2}\nn: {<<: [*b, {z: [3]}]}\n",
+    "explicit_tags": "v: [!!float 1, !!str 1.0, !!int '7', !!bool yes]\nw: !!float 1\n",
+    "special_scalars": "v: [.inf, -.inf, .nan, 1:30, 1_000.5, 0x1f, ~, true, 1.0e6, 1.0e+6]\n",
+    "mixed_items": "v: [1, [2, 3], {a: [4]}, 2001-12-14, !!binary aGk=, null, '']\n",
+    "unknown_tag": "v: [1, !unknown 2]\n",
+    "collection_tag_on_scalar": "v: [!!seq x]\n",
+    "map_tag_on_scalar": "v: [!!map x]\n",
+    "scalar_tag_on_collection": "v: [1, !!str [a]]\n",
+}
+REFERENCE_LOADERS = [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else []
+)
+
+
+def _same_document(got, expected, pairs=None):
+    """Equal values of equal types, NaN equal to NaN, and cycles where the other has them."""
+    pairs = {} if pairs is None else pairs
+    if type(got) is not type(expected):
+        return False
+    if isinstance(got, float) and math.isnan(got):
+        return math.isnan(expected)
+    if isinstance(got, (list, dict)):
+        key = (id(got), id(expected))
+        if key in pairs:
+            return True
+        pairs[key] = True
+        if len(got) != len(expected):
+            return False
+        if isinstance(got, dict):
+            if list(got) != list(expected):
+                return False
+            got, expected = got.values(), expected.values()
+        return all(_same_document(a, b, pairs) for a, b in zip(got, expected))
+    return got == expected
+
+
+def _load_or_error(text, loader):
+    try:
+        return yaml.load(text, Loader=loader), None
+    except yaml.YAMLError as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("reference", REFERENCE_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("name", list(LOADER_DOCUMENTS))
+def test_scenario_loader_builds_what_a_safe_loader_builds(name, reference):
+    text = LOADER_DOCUMENTS[name]
+    loader = crnoma.scenario._YAML_LOADER
+    got, error = _load_or_error(text, loader)
+    expected, expected_error = _load_or_error(text, reference)
+    if expected_error is not None:
+        assert type(error) is type(expected_error)
+        assert error.problem == expected_error.problem
+        # The marks a pure-Python loader prints quote the line; libyaml's do not.
+        base = loader.__mro__[1]
+        assert str(error) == str(_load_or_error(text, base)[1])
+        return
+    assert error is None
+    assert _same_document(got, expected)
+    if name == "self_nesting":
+        assert got["r"][0] is got["r"]
+    if name == "special_scalars":
+        assert got["v"][6:] == [None, True, "1.0e6", 1.0e6]
+
+
+@pytest.mark.parametrize("name", ["unknown_tag", "collection_tag_on_scalar"])
+def test_scenario_loader_errors_are_config_errors(name):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(LOADER_DOCUMENTS[name])
+    assert str(err.value).startswith("<document>: YAML parse failure: ")
+
+
+def _consumed_power_overflow_document():
+    """CI's scenario whose consumed power overflows: one 1e308 W HRC device and overhead."""
+    text = default_scenario_text()
+    for old, new in (
+        ("hrc_power: 0.7", "hrc_power: 1.0e+308"),
+        ("circuit_power: 99.0", "circuit_power: 1.0e+308"),
+        ("hrc_distances_m: [1200.0, 1400.0, 1600.0, 1800.0, 2000.0]", "hrc_gains: [1.0e-300]"),
+        ("mrc_distances_m: [1300.0, 1500.0, 1700.0, 1900.0, 2000.0]", "mrc_gains: [1.0e-300]"),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+def gc_state(request):
+    """The cyclic collector enabled or disabled for the test, then restored."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_loading_and_optimizing_leave_the_collector_as_found(tmp_path, gc_state):
+    text = _wide_document()
+    path = tmp_path / "wide.yaml"
+    path.write_text(text, "utf-8")
+    scenario = load_scenario(text)
+    assert gc.isenabled() is gc_state
+    assert crnoma.scenario.load_scenario_file(str(path)) == scenario
+    assert gc.isenabled() is gc_state
+    for state in (EFFECTUAL, INTERFERENCE):
+        for coupling in ("nominal", "cascaded"):
+            optimize_scenario(scenario, state, coupling)
+            assert gc.isenabled() is gc_state
+
+
+def test_failing_loads_and_optimizations_leave_the_collector_as_found(
+    tmp_path, monkeypatch, gc_state
+):
+    bad = MINIMAL.replace("label: minimal", "label: [a, b]")
+    with pytest.raises(ConfigError):
+        load_scenario(bad)
+    assert gc.isenabled() is gc_state
+    path = tmp_path / "bad.yaml"
+    path.write_text(bad, "utf-8")
+    with pytest.raises(ConfigError):
+        crnoma.scenario.load_scenario_file(str(path))
+    assert gc.isenabled() is gc_state
+
+    # The nominal series raises; its optimized powers keep the sum finite.
+    scenario = load_scenario(_consumed_power_overflow_document())
+    assert gc.isenabled() is gc_state
+    with pytest.raises(ValueError, match="^energy efficiency is not finite: "):
+        run_sweep(scenario, EFFECTUAL, "hrc", False)
+    assert gc.isenabled() is gc_state
+    # optimize_scenario's own error, raised inside its paused block.
+    monkeypatch.setattr(crnoma.lambertw, "_MAX_ITER", 1)
+    with pytest.raises(ValueError, match="did not converge in 1 iterations"):
+        optimize_scenario(scenario._replace(), EFFECTUAL)
+    assert gc.isenabled() is gc_state
+
+
+def test_the_collector_is_paused_while_records_are_built(monkeypatch):
+    assert gc.isenabled()
+    seen = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            seen.append((name, gc.isenabled()))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        crnoma.scenario, "pathloss_average_db", spy("pathloss", pathloss_average_db)
+    )
+    monkeypatch.setattr(
+        crnoma.optimizer, "_closed_forms", spy("solve", crnoma.optimizer._closed_forms)
+    )
+    scenario = load_scenario(_wide_document(pairs=3))
+    optimize_scenario(scenario, EFFECTUAL)
+    assert seen == [("pathloss", False)] * (3 + 3 + 1) + [("solve", False)] * 2
+    assert gc.isenabled()
+
+
+def test_loading_and_optimizing_a_wide_document_leaves_no_cyclic_garbage():
+    text = _wide_document(pairs=3000)
+    gc.collect()
+    scenario = load_scenario(text)
+    for state in (EFFECTUAL, INTERFERENCE):
+        for coupling in ("nominal", "cascaded"):
+            optimize_scenario(scenario, state, coupling)
+    del scenario
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("value", ["[a, b]", "42", "{name: x}"])
