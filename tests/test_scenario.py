@@ -831,7 +831,7 @@ def test_libyaml_loader_builds_the_same_scenario(monkeypatch, kind):
 LOADER_DOCUMENTS = {
     "scalar_aliases": "a: &x 1.5\nb: [*x, *x, 2, &y 3, *y]\nc: *y\n",
     "sequence_aliases": "s: &s [1, 2.5, x]\nt: *s\nu: [*s, *s, [*s]]\n",
-    "self_nesting": "r: &a [*a, 1]\n",
+    "self_nesting": "r: &a [*a]\ns: &b [*b, 1]\n",
     "merge_keys": "b: &b {k: 1, l: [1, 2]}\nm: {<<: *b, k: 2}\nn: {<<: [*b, {z: [3]}]}\n",
     "explicit_tags": "v: [!!float 1, !!str 1.0, !!int '7', !!bool yes]\nw: !!float 1\n",
     "special_scalars": "v: [.inf, -.inf, .nan, 1:30, 1_000.5, 0x1f, ~, true, 1.0e6, 1.0e+6]\n",
@@ -892,7 +892,7 @@ def test_scenario_loader_builds_what_a_safe_loader_builds(name, reference):
     assert error is None
     assert _same_document(got, expected)
     if name == "self_nesting":
-        assert got["r"][0] is got["r"]
+        assert got["r"][0] is got["r"] and got["s"][0] is got["s"]
     if name == "special_scalars":
         assert got["v"][6:] == [None, True, "1.0e6", 1.0e6]
 
