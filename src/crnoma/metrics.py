@@ -83,16 +83,21 @@ def _check_device(device: str) -> None:
 
 @contextmanager
 def _gc_paused():
-    """Pause CPython's cyclic garbage collector for the block, as ``timeit`` does.
+    """Pause CPython's cyclic garbage collector for the block.
 
     A wide scenario builds tens of thousands of objects that cannot form a
     cycle (YAML nodes, ``DevicePair`` and ``OptResult`` tuples), and every
-    few hundred allocations the collector walks them all again.  It is
-    re-enabled on exit, also when the block raises, only if it was enabled
-    on entry, so a caller's ``gc.disable()`` holds.  No value depends on it.
+    few hundred allocations the collector walks them all again.  Only a
+    block that finds it enabled disables it, and re-enables it on exit, also
+    when the block raises, so a caller's ``gc.disable()`` holds.  Unlike
+    ``timeit``, which disables it either way, a block that found it disabled
+    never touches it: its disable could land after another thread's pause
+    has ended and re-enabled it, leaving it off for good.  No value depends
+    on it.
     """
     enabled = gc.isenabled()
-    gc.disable()
+    if enabled:
+        gc.disable()
     try:
         yield
     finally:

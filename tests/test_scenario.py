@@ -15,6 +15,7 @@ import yaml
 from hypothesis import example, given, strategies as st
 
 import crnoma.lambertw
+import crnoma.metrics
 import crnoma.optimizer
 import crnoma.scenario
 
@@ -965,6 +966,31 @@ def test_failing_loads_and_optimizations_leave_the_collector_as_found(
     with pytest.raises(ValueError, match="did not converge in 1 iterations"):
         optimize_scenario(scenario._replace(), EFFECTUAL)
     assert gc.isenabled() is gc_state
+
+
+def test_a_pause_that_finds_the_collector_paused_never_disables_it(monkeypatch):
+    """Threads interleaved at the worst point: another thread's pause ends
+    just after this one has found the collector disabled."""
+    outer = crnoma.metrics._gc_paused()
+    outer.__enter__()
+
+    class InterleavedGc:
+        enable, disable = staticmethod(gc.enable), staticmethod(gc.disable)
+
+        @staticmethod
+        def isenabled():
+            found = gc.isenabled()
+            outer.__exit__(None, None, None)
+            return found
+
+    monkeypatch.setattr(crnoma.metrics, "gc", InterleavedGc)
+    try:
+        with crnoma.metrics._gc_paused():
+            pass
+    finally:
+        enabled = gc.isenabled()
+        gc.enable()
+    assert enabled
 
 
 def test_the_collector_is_paused_while_records_are_built(monkeypatch):
